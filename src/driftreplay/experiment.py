@@ -1,6 +1,7 @@
 """Experiment orchestration: run each method over a shared stream and report."""
 from __future__ import annotations
 
+import math
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -11,7 +12,7 @@ import numpy as np
 from .baselines import ClassBuffer, StaticCentroidMemory
 from .evaluation import MetricsRecord, emit_report, evaluate_batch, omega_all
 from .learner import ClassifierSpec, MlpClassifier, fit_batch, fit_offline
-from .memory import RsbConfig, RsbMemory
+from .memory import LabeledInstance, RsbConfig, RsbMemory
 from .streams import (
     GaussianStreamSpec,
     build_drift_schedule,
@@ -148,28 +149,24 @@ def run_offline_reference(config: ExperimentConfig, dataset, schedule, seed: int
     Re-presented data is deduplicated per subconcept and relabeled to the
     current ground truth before retraining.
     """
-    from .memory import LabeledInstance
-    from .streams import _slice_rows
-    import math as _math
-
     spec = _classifier_spec(config, dataset.dim)
     masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
              for sid in dataset.subconcept_ids}
     for sid in schedule.warmup_subconcepts:
         n = len(dataset.train(sid))
-        masks[sid][: _math.floor(schedule.warmup_fraction * n)] = True
+        masks[sid][: math.floor(schedule.warmup_fraction * n)] = True
     alphas, per_sub = [], []
     for t in range(len(schedule)):
         e = schedule.entry(t)
         n = len(dataset.train(e.subconcept_id))
-        lo = _math.floor(e.slice_start * n)
-        hi = _math.floor(e.slice_end * n)
+        lo = math.floor(e.slice_start * n)
+        hi = math.floor(e.slice_end * n)
         masks[e.subconcept_id][lo:hi] = True
         label_map = schedule.current_label_map(t)
         instances = []
         for sid, label in label_map.items():
             block = dataset.train(sid)[masks[sid]]
-            instances.extend(LabeledInstance(row.copy(), label, sid) for row in block)
+            instances.extend(LabeledInstance(row, label, sid) for row in block)
         model = fit_offline(spec, instances, rng_for(seed, "offline", str(t)))
         a, ps = evaluate_batch(model.predict_labels, eval_pool(schedule, dataset, t))
         alphas.append(a)

@@ -5,6 +5,7 @@ against central finite differences.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -51,35 +52,61 @@ class TrainRecord:
 
 
 def _softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _relu(z):
-    return np.maximum(z, 0.0)
+    """Row-wise softmax, computed in place over the logits z."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 class MlpClassifier:
-    """Fully connected ReLU net with a 2-way softmax head, trained by Adam."""
+    """Fully connected ReLU net with a 2-way softmax head, trained by Adam.
+
+    Every weight and bias lives in one contiguous float64 vector, all W
+    then all b, and ``W[i]``/``b[i]`` are reshaped views into it. Adam's
+    moments and the gradient are matching flat vectors, so an update is a
+    fixed number of in-place ufunc calls. Write weights through the views
+    (``W[i][...] = ...``): an array bound in their place is not trained.
+    """
 
     def __init__(self, spec: ClassifierSpec, rng: np.random.Generator | None = None):
         self.spec = spec
         rng = rng if rng is not None else np.random.default_rng(0)
         dims = [spec.input_dim, *spec.hidden_sizes, 2]
         self.dims = dims
-        self.W = [rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
-                  for i in range(len(dims) - 1)]
-        self.b = [np.zeros(dims[i + 1]) for i in range(len(dims) - 1)]
-        self._m = [np.zeros_like(p) for p in self.W + self.b]
-        self._v = [np.zeros_like(p) for p in self.W + self.b]
+        self._shapes = ([(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
+                        + [(d,) for d in dims[1:]])
+        size = sum(math.prod(shape) for shape in self._shapes)
+        self._theta = np.zeros(size)
+        params = self._views(self._theta)
+        self.W, self.b = params[:len(dims) - 1], params[len(dims) - 1:]
+        for i, W in enumerate(self.W):
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / dims[i]), size=W.shape)
+        self._grad = np.zeros(size)
+        self._grads = self._views(self._grad)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = (np.empty(size), np.empty(size))
         self._t = 0
+
+    def _views(self, flat):
+        """Split a flat vector into views shaped like W then b."""
+        views, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            views.append(flat[start:stop].reshape(shape))
+            start = stop
+        return views
 
     def _forward(self, X):
         acts = [X]
+        last = len(self.W) - 1
         for i, (W, b) in enumerate(zip(self.W, self.b)):
-            z = acts[-1] @ W + b
-            acts.append(_relu(z) if i < len(self.W) - 1 else z)
+            z = acts[-1] @ W
+            z += b
+            if i < last:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
         return acts
 
     def predict_proba(self, X) -> np.ndarray:
@@ -96,44 +123,62 @@ class MlpClassifier:
         return int(p.argmax()), (float(p[0]), float(p[1]))
 
     def loss_and_grads(self, X, y):
-        """Mean cross-entropy and analytic gradients, ordered as W then b."""
-        n = X.shape[0]
-        acts = self._forward(X)
-        probs = _softmax(acts[-1])
-        eps = 1e-12
-        loss = float(-np.log(probs[np.arange(n), y] + eps).mean())
-        delta = probs.copy()
-        delta[np.arange(n), y] -= 1.0
-        delta /= n
-        gW = [None] * len(self.W)
-        gb = [None] * len(self.b)
-        for i in range(len(self.W) - 1, -1, -1):
-            gW[i] = acts[i].T @ delta
-            gb[i] = delta.sum(axis=0)
-            if i > 0:
-                delta = (delta @ self.W[i].T) * (acts[i] > 0)
-        return loss, gW + gb
+        """Mean cross-entropy and analytic gradients, ordered as W then b.
 
-    def adam_step(self, grads):
+        The gradients are views of one buffer that the next call
+        overwrites; copy them to keep them.
+        """
+        n = X.shape[0]
+        rows = np.arange(n)
+        acts = self._forward(X)
+        delta = _softmax(acts[-1])
+        loss = float(-np.log(delta[rows, y] + 1e-12).mean())
+        delta[rows, y] -= 1.0
+        delta /= n
+        n_layers = len(self.W)
+        gW, gb = self._grads[:n_layers], self._grads[n_layers:]
+        for i in range(n_layers - 1, -1, -1):
+            np.matmul(acts[i].T, delta, out=gW[i])
+            delta.sum(axis=0, out=gb[i])
+            if i > 0:
+                delta = delta @ self.W[i].T
+                delta *= acts[i] > 0
+        return loss, self._grads
+
+    def adam_step(self):
+        """Apply one Adam update from the gradients of the last loss_and_grads.
+
+        Each element goes through the textbook per-array operations in the
+        same order, so the result is bit-for-bit the same.
+        """
         self._t += 1
         s = self.spec
-        params = self.W + self.b
-        for k, (p, g) in enumerate(zip(params, grads)):
-            self._m[k] = s.beta1 * self._m[k] + (1 - s.beta1) * g
-            self._v[k] = s.beta2 * self._v[k] + (1 - s.beta2) * g * g
-            m_hat = self._m[k] / (1 - s.beta1 ** self._t)
-            v_hat = self._v[k] / (1 - s.beta2 ** self._t)
-            p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + s.eps)
+        g, m, v = self._grad, self._m, self._v
+        a, b = self._scratch
+        np.multiply(m, s.beta1, out=m)  # m = beta1*m + (1-beta1)*g
+        np.multiply(g, 1 - s.beta1, out=a)
+        np.add(m, a, out=m)
+        np.multiply(v, s.beta2, out=v)  # v = beta2*v + ((1-beta2)*g)*g
+        np.multiply(g, 1 - s.beta2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        np.divide(m, 1 - s.beta1 ** self._t, out=a)  # lr*m_hat / (sqrt(v_hat) + eps)
+        np.multiply(a, s.learning_rate, out=a)
+        np.divide(v, 1 - s.beta2 ** self._t, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, s.eps, out=b)
+        np.divide(a, b, out=a)
+        np.subtract(self._theta, a, out=self._theta)
 
     def train_minibatch(self, X, y) -> float:
-        loss, grads = self.loss_and_grads(X, y)
+        loss, _ = self.loss_and_grads(X, y)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite training loss: {loss}")
-        self.adam_step(grads)
+        self.adam_step()
         return loss
 
     def n_params(self) -> int:
-        return sum(p.size for p in self.W + self.b)
+        return self._theta.size
 
 
 def _to_arrays(batch):
@@ -190,7 +235,8 @@ def gradient_check(model: MlpClassifier, X, y, h: float = 1e-5) -> float:
     """Max relative error between analytic and central finite-difference gradients."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
-    _, grads = model.loss_and_grads(X, y)
+    # loss_and_grads reuses its gradient buffer, so snapshot before perturbing
+    grads = [g.copy() for g in model.loss_and_grads(X, y)[1]]
     params = model.W + model.b
     worst = 0.0
     for p, g in zip(params, grads):
@@ -240,8 +286,8 @@ def load_checkpoint(path, spec_overrides=None) -> MlpClassifier:
         kwargs = dict(spec_overrides or {})
         spec = ClassifierSpec(input_dim=dims[0], hidden_sizes=tuple(dims[1:-1]), **kwargs)
         model = MlpClassifier(spec)
-        for i in range(len(dims) - 1):
-            wsize = dims[i] * dims[i + 1]
-            model.W[i] = np.frombuffer(fh.read(8 * wsize), dtype=np.float64).reshape(dims[i], dims[i + 1]).copy()
-            model.b[i] = np.frombuffer(fh.read(8 * dims[i + 1]), dtype=np.float64).copy()
+        # write through the views so the loaded weights stay the ones Adam trains
+        for W, b in zip(model.W, model.b):
+            W[...] = np.frombuffer(fh.read(8 * W.size), dtype=np.float64).reshape(W.shape)
+            b[...] = np.frombuffer(fh.read(8 * b.size), dtype=np.float64).reshape(b.shape)
     return model

@@ -214,3 +214,107 @@ def test_nearest_centroid_predict():
     mem.ingest(inst([10.0], 1))
     assert nearest_centroid_predict(mem, [2.0]) == 0
     assert nearest_centroid_predict(mem, [9.0]) == 1
+
+
+# ------------------------------------------------- flat layout and optimizer
+
+def _reference_loss_and_grads(W, b, X, y):
+    """Per-array loss and gradients, as written before the flat layout."""
+    acts = [X]
+    for i, (Wi, bi) in enumerate(zip(W, b)):
+        z = acts[-1] @ Wi + bi
+        acts.append(np.maximum(z, 0.0) if i < len(W) - 1 else z)
+    z = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    e = np.exp(z)
+    probs = e / e.sum(axis=1, keepdims=True)
+    n = X.shape[0]
+    loss = float(-np.log(probs[np.arange(n), y] + 1e-12).mean())
+    delta = probs.copy()
+    delta[np.arange(n), y] -= 1.0
+    delta /= n
+    gW, gb = [None] * len(W), [None] * len(b)
+    for i in range(len(W) - 1, -1, -1):
+        gW[i] = acts[i].T @ delta
+        gb[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ W[i].T) * (acts[i] > 0)
+    return loss, gW + gb
+
+
+def _reference_adam_step(params, grads, m, v, t, s):
+    """Per-array Adam with its temporaries, as written before the flat layout."""
+    for k, (p, g) in enumerate(zip(params, grads)):
+        m[k] = s.beta1 * m[k] + (1 - s.beta1) * g
+        v[k] = s.beta2 * v[k] + (1 - s.beta2) * g * g
+        m_hat = m[k] / (1 - s.beta1 ** t)
+        v_hat = v[k] / (1 - s.beta2 ** t)
+        p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + s.eps)
+
+
+@pytest.mark.parametrize("input_dim,hidden", [(5, (7, 3)), (16, (128, 64, 32)), (3, (9,))])
+def test_flat_optimizer_is_bit_identical_to_per_array_reference(input_dim, hidden):
+    spec = ClassifierSpec(input_dim=input_dim, hidden_sizes=hidden, learning_rate=1e-2)
+    m = MlpClassifier(spec, np.random.default_rng(input_dim))
+    init = np.random.default_rng(input_dim)
+    dims = [input_dim, *hidden, 2]
+    W = [init.normal(0.0, np.sqrt(2.0 / dims[i]), size=(dims[i], dims[i + 1]))
+         for i in range(len(dims) - 1)]
+    b = [np.zeros(d) for d in dims[1:]]
+    params = W + b
+    mom = [np.zeros_like(p) for p in params]
+    vel = [np.zeros_like(p) for p in params]
+    assert all(np.array_equal(p, q) for p, q in zip(m.W + m.b, params))
+    rng = np.random.default_rng(100 + input_dim)
+    for t in range(1, 26):
+        n = int(rng.integers(1, 60))
+        X = rng.normal(size=(n, input_dim))
+        y = rng.integers(2, size=n)
+        loss, grads = m.loss_and_grads(X, y)
+        ref_loss, ref_grads = _reference_loss_and_grads(W, b, X, y)
+        assert loss == ref_loss
+        assert all(np.array_equal(g, r) for g, r in zip(grads, ref_grads))
+        m.adam_step()
+        _reference_adam_step(params, ref_grads, mom, vel, t, spec)
+        assert all(np.array_equal(p, q) for p, q in zip(m.W + m.b, params))
+
+
+def test_gradients_are_views_of_one_reused_buffer():
+    rng = np.random.default_rng(12)
+    m = MlpClassifier(ClassifierSpec(input_dim=3, hidden_sizes=(4,)), rng)
+    _, first = m.loss_and_grads(rng.normal(size=(5, 3)), rng.integers(2, size=5))
+    kept = [g.copy() for g in first]
+    _, second = m.loss_and_grads(rng.normal(size=(5, 3)), rng.integers(2, size=5))
+    assert all(a is b for a, b in zip(first, second))
+    assert not all(np.array_equal(a, b) for a, b in zip(kept, second))
+    assert m.n_params() == sum(p.size for p in m.W + m.b) == 3 * 4 + 4 * 2 + 4 + 2
+
+
+def test_duplicate_instance_share_with_snapshotted_gradients():
+    rng = np.random.default_rng(1)
+    m = MlpClassifier(ClassifierSpec(input_dim=3, hidden_sizes=(4,)), rng)
+    for bias in m.b:
+        bias[...] = rng.normal(0.0, 0.1, size=bias.shape)
+    a = rng.normal(size=(1, 3))
+    b = rng.normal(size=(1, 3))
+    ga = [g.copy() for g in m.loss_and_grads(a, np.array([0]))[1]]
+    gb = [g.copy() for g in m.loss_and_grads(b, np.array([1]))[1]]
+    _, gall = m.loss_and_grads(np.vstack([a, b, b]), np.array([0, 1, 1]))
+    assert not all(np.allclose(one, two) for one, two in zip(ga, gb))
+    for combined, one, two in zip(gall, ga, gb):
+        assert np.allclose(combined, (one + 2.0 * two) / 3.0)
+
+
+def test_loaded_checkpoint_stays_trainable(tmp_path):
+    rng = np.random.default_rng(13)
+    m = MlpClassifier(ClassifierSpec(input_dim=4, hidden_sizes=(6,)), rng)
+    path = tmp_path / "model.bin"
+    save_checkpoint(m, path)
+    loaded = load_checkpoint(path)
+    before = loaded.W[0].copy()
+    loaded.train_minibatch(rng.normal(size=(8, 4)), rng.integers(2, size=8))
+    assert not np.array_equal(before, loaded.W[0])
+    assert all(np.shares_memory(p, loaded._theta) for p in loaded.W + loaded.b)
+    with open(path, "r+b") as fh:  # a truncated file is refused, not broadcast
+        fh.truncate(path.stat().st_size - 8)
+    with pytest.raises(ValueError):
+        load_checkpoint(path)
