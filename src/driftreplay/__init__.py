@@ -20,7 +20,6 @@ from .learner import (
     fit_batch,
     fit_offline,
     gradient_check,
-    nearest_centroid_predict,
 )
 from .streams import (
     GaussianStreamSpec,

@@ -71,7 +71,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
     for key in sorted(_FLOAT_KEYS):
         p.add_argument("--" + key.replace("_", "-"), dest=key, type=float)
     p.add_argument("--per-centroid-maintenance", dest="per_centroid_maintenance",
-                   action="store_const", const=True)
+                   action="store_const", const=True,
+                   help="tick one centroid each time its window reaches n_s updates; "
+                        "same switch/split/removal rules")
     p.add_argument("--hidden-sizes", dest="hidden_sizes",
                    help="comma list of layer widths")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import EmptyMemoryError, LabeledInstance, find_nearest
+from .memory import LabeledInstance
 from .replay import oversample_balance, sample_replay
 
 CHECKPOINT_MAGIC = b"RSBM"
@@ -253,14 +253,6 @@ def gradient_check(model: MlpClassifier, X, y, h: float = 1e-5) -> float:
             denom = max(abs(gflat[k]), abs(numeric), 1e-6)
             worst = max(worst, abs(gflat[k] - numeric) / denom)
     return worst
-
-
-def nearest_centroid_predict(memory, x) -> int:
-    """Label of the closest centroid; raises on an empty memory."""
-    centroids = list(memory.all_centroids())
-    if not centroids:
-        raise EmptyMemoryError("memory holds no centroids")
-    return find_nearest(centroids, np.asarray(x, dtype=np.float64)).label
 
 
 def save_checkpoint(model: MlpClassifier, path):

@@ -74,10 +74,6 @@ class RsbConfig:
     sigma_k: float = 2.0
     switch_fraction: float = 0.5
     per_centroid_maintenance: bool = False
-    # Minimum window traffic during a period before a centroid becomes
-    # removal-eligible. None means tau_r; 0 makes removal unconditional
-    # on traffic (dormant clusters get reaped too).
-    removal_traffic_floor: int | None = None
 
     def __post_init__(self):
         if self.c_min is None:
@@ -177,7 +173,6 @@ class ReactiveCentroid:
         self.registered_since_maintenance = 1
         self.window_updates_since_tick = 1
         self.in_grace_period = True
-        self.switched_this_pass = False
 
     def variance(self) -> np.ndarray:
         return self.m2 / self.count
@@ -253,8 +248,6 @@ def apply_switch(c: ReactiveCentroid, new_label: int, config: RsbConfig) -> Reac
 
 
 def check_split(c: ReactiveCentroid, config: RsbConfig) -> bool:
-    if c.switched_this_pass:
-        return False
     c1, c2 = c.window.top_two_counts()
     if c2 == 0:
         return False
@@ -294,6 +287,15 @@ class _CentroidMemory:
         self.centroids.setdefault(instance.label, []).append(c)
         return c
 
+    def _move(self, c: ReactiveCentroid, label: int):
+        """Relabel c and refile it at the end of its new label group."""
+        group = self.centroids[c.label]
+        group.remove(c)
+        if not group:
+            del self.centroids[c.label]
+        c.label = label
+        self.centroids.setdefault(label, []).append(c)
+
     def _assign(self, c: ReactiveCentroid, instance: LabeledInstance):
         c.update_stats(instance.features)
         c.buffer.add(instance, self.rng)
@@ -313,11 +315,9 @@ class RsbMemory(_CentroidMemory):
         self.stream_counter += 1
         y = instance.label
         own = self.centroids.get(y, [])
-        touched = None
         if len(own) < self.config.c_min:
-            c = self._create(instance)
-            touched = c
-            events.append(MemoryEvent("created", c.id, y, "bootstrap"))
+            touched = self._create(instance)
+            events.append(MemoryEvent("created", touched.id, y, "bootstrap"))
         else:
             cx = find_nearest(self.all_centroids(), x)
             if cx.label == y:
@@ -328,11 +328,7 @@ class RsbMemory(_CentroidMemory):
                 cx.window.push(instance)
                 cx.window_updates_since_tick += 1
                 touched = cx
-                new_label = check_switch(cx, self.config)
-                if new_label is not None:
-                    old = cx.label
-                    self._relabel(cx, new_label)
-                    events.append(MemoryEvent("switched", cx.id, new_label, f"from {old}"))
+                self._switch(cx, events)
             else:
                 cyx = find_nearest(own, x)
                 if within_bounds(cyx, x, self.config.sigma_k) or len(own) >= self.config.c_max:
@@ -340,89 +336,64 @@ class RsbMemory(_CentroidMemory):
                     touched = cyx
                     events.append(MemoryEvent("updated", cyx.id, cyx.label))
                 else:
-                    c = self._create(instance)
-                    touched = c
-                    events.append(MemoryEvent("created", c.id, y))
+                    touched = self._create(instance)
+                    events.append(MemoryEvent("created", touched.id, y))
         if self.config.per_centroid_maintenance:
-            if touched is not None and touched.window.cumulative_updates % self.config.n_s == 0:
-                events.extend(self._maintain_one(touched))
+            if touched.window.cumulative_updates % self.config.n_s == 0:
+                events.extend(self.maintenance([touched]))
         elif self.stream_counter % self.config.n_s == 0:
             events.extend(self.maintenance())
         return events
 
-    def _relabel(self, c: ReactiveCentroid, new_label: int):
-        self.centroids[c.label].remove(c)
-        if not self.centroids[c.label]:
-            del self.centroids[c.label]
+    def _switch(self, c: ReactiveCentroid, events: list[MemoryEvent]) -> bool:
+        """Relabel c to its window majority if check_switch says so."""
+        new_label = check_switch(c, self.config)
+        if new_label is None:
+            return False
+        old = c.label
+        self._move(c, new_label)
         apply_switch(c, new_label, self.config)
-        self.centroids.setdefault(new_label, []).append(c)
+        events.append(MemoryEvent("switched", c.id, new_label, f"from {old}"))
+        return True
 
-    def maintenance(self) -> list[MemoryEvent]:
-        """Global tick: switches first, then splits, then stale-cluster removal."""
+    def maintenance(self, scope=None) -> list[MemoryEvent]:
+        """One tick over `scope` (default: every centroid).
+
+        Each scoped centroid switches, or else splits if its window is
+        impure. Then stale centroids are removed, considering only the
+        scope and centroids born in this tick; every other centroid counts
+        as a survivor for the rule that keeps one centroid per label.
+        Finally the period counters of the considered survivors reset.
+        """
         events: list[MemoryEvent] = []
         cfg = self.config
-        floor = cfg.removal_traffic_floor if cfg.removal_traffic_floor is not None else cfg.tau_r
-        snapshot = list(self.all_centroids())
-        for c in snapshot:
-            c.switched_this_pass = False
-        for c in snapshot:
-            new_label = check_switch(c, cfg)
-            if new_label is not None:
-                old = c.label
-                self._relabel(c, new_label)
-                c.switched_this_pass = True
-                events.append(MemoryEvent("switched", c.id, new_label, f"from {old}"))
-            elif check_split(c, cfg):
-                kept, born = apply_split(self, c)
-                events.append(MemoryEvent("split", kept.id, kept.label, f"spawned {born.id}"))
-                events.append(MemoryEvent("created", born.id, born.label, "split"))
+        scope = list(self.all_centroids()) if scope is None else list(scope)
+        ticked = {c.id: c for c in scope}
+        for c in scope:
+            if self._switch(c, events) or not check_split(c, cfg):
+                continue
+            kept, born = apply_split(self, c)
+            ticked[born.id] = born
+            events.append(MemoryEvent("split", kept.id, kept.label, f"spawned {born.id}"))
+            events.append(MemoryEvent("created", born.id, born.label, "split"))
         for label in sorted(self.centroids):
-            group = self.centroids[label]
             survivors = []
-            pending = sorted(group, key=lambda c: c.id)
+            pending = sorted(self.centroids[label], key=lambda c: c.id)
             for i, c in enumerate(pending):
                 removable = (
-                    not c.in_grace_period
+                    c.id in ticked
+                    and not c.in_grace_period
                     and c.registered_since_maintenance < cfg.tau_r
-                    and c.window_updates_since_tick >= floor
+                    and c.window_updates_since_tick >= cfg.tau_r
                 )
                 remaining = len(pending) - i - 1
                 if removable and len(survivors) + remaining >= 1:
+                    del ticked[c.id]
                     events.append(MemoryEvent("removed", c.id, c.label))
                 else:
                     survivors.append(c)
             self.centroids[label] = survivors
-        self.centroids = {l: g for l, g in self.centroids.items() if g}
-        for c in self.all_centroids():
-            c.registered_since_maintenance = 0
-            c.window_updates_since_tick = 0
-            c.in_grace_period = False
-            c.switched_this_pass = False
-        return events
-
-    def _maintain_one(self, c: ReactiveCentroid) -> list[MemoryEvent]:
-        """Per-centroid cadence: the same checks, scoped to one window."""
-        events: list[MemoryEvent] = []
-        cfg = self.config
-        c.switched_this_pass = False
-        new_label = check_switch(c, cfg)
-        if new_label is not None:
-            old = c.label
-            self._relabel(c, new_label)
-            c.switched_this_pass = True
-            events.append(MemoryEvent("switched", c.id, new_label, f"from {old}"))
-        elif check_split(c, cfg):
-            kept, born = apply_split(self, c)
-            events.append(MemoryEvent("split", kept.id, kept.label, f"spawned {born.id}"))
-            events.append(MemoryEvent("created", born.id, born.label, "split"))
-        if (
-            not c.in_grace_period
-            and c.registered_since_maintenance < cfg.tau_r
-            and self.class_count(c.label) > 1
-        ):
-            self.centroids[c.label].remove(c)
-            events.append(MemoryEvent("removed", c.id, c.label))
-        else:
+        for c in ticked.values():
             c.registered_since_maintenance = 0
             c.window_updates_since_tick = 0
             c.in_grace_period = False
@@ -444,11 +415,7 @@ def apply_split(memory: _CentroidMemory, c: ReactiveCentroid):
     minor_entries = [inst for inst in c.window.entries if inst.label == minor]
 
     if c.label != major:
-        memory.centroids[c.label].remove(c)
-        if not memory.centroids[c.label]:
-            del memory.centroids[c.label]
-        c.label = major
-        memory.centroids.setdefault(major, []).append(c)
+        memory._move(c, major)
     c.rebuild_from(major_entries)
     c.buffer.reset(major_entries)
     fresh = SlidingWindow(memory.config.omega_max)

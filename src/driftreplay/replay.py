@@ -54,10 +54,8 @@ def sample_replay(memory, rng: np.random.Generator) -> ReplayBatch:
             c1, c2 = c.window.top_two_counts()
             if not purity(c1, c2, beta) > float(rng.random()):
                 continue
-        candidates = [inst for inst in c.buffer.items if inst.label == c.label]
-        if not candidates:
-            continue
-        batch.instances.append(candidates[int(rng.integers(len(candidates)))])
+        items = c.buffer.items  # single-label: _assign routing and the switch/split resets
+        batch.instances.append(items[int(rng.integers(len(items)))])
         batch.provenance.append(c.id)
     return batch
 

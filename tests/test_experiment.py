@@ -1,4 +1,9 @@
 """Unit tests for experiment orchestration."""
+import hashlib
+import json
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +12,12 @@ from driftreplay.experiment import (
     ExperimentConfig,
     build_schedule,
     rng_for,
+    run_experiment,
     run_seed,
 )
+from driftreplay.memory import RsbMemory
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 FAST = dict(n_subconcepts=2, dim=4, train_per=60, test_per=20,
             hidden_sizes=(8,), epochs_per_batch=2, seeds=(3,))
@@ -65,3 +74,39 @@ def test_one_failed_cell_does_not_poison_the_rest(monkeypatch):
     records, failures = run_seed(config, 3)
     assert set(failures) == {"nn/seed3"}
     assert {r.method for r in records} == {"rsb", "offline"}
+
+
+# ------------------------------------------------------- pinned report bytes
+
+def report_digests(out: Path, **kwargs):
+    assert run_experiment(ExperimentConfig(out_dir=str(out), **kwargs)) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir())}
+
+
+def test_criterion_9_reports_match_the_recorded_digests(tmp_path):
+    expected = json.loads(REFERENCE.read_text())["criterion-9"]["11"]
+    got = report_digests(tmp_path, methods=("rsb", "nn", "offline"), seeds=(11,),
+                         n_subconcepts=3, dim=4, train_per=80, test_per=20,
+                         hidden_sizes=(16,), epochs_per_batch=3)
+    assert got == expected
+
+
+def test_small_drift_run_reports_are_pinned(tmp_path, monkeypatch):
+    kinds = Counter()
+    ingest = RsbMemory.ingest
+
+    def counting_ingest(self, instance):
+        events = ingest(self, instance)
+        kinds.update(e.kind for e in events)
+        return events
+
+    monkeypatch.setattr(RsbMemory, "ingest", counting_ingest)
+    got = report_digests(tmp_path, schedule="drift", n_subconcepts=4, dim=4,
+                         train_per=80, test_per=20, n_s=200, hidden_sizes=(16,),
+                         epochs_per_batch=3, seeds=(1,))
+    assert got == {
+        "accuracy_seed1.csv": "e55c3ae003855426371b647d0228474beb963aa955e65954221000e8f0dac31d",
+        "summary.json": "de358e91e58e3b89600b8d4bfc7dffce84d7af43909f63b330fb2f48e1210e8d",
+    }
+    assert kinds["switched"] and kinds["split"] and kinds["removed"]

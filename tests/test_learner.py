@@ -10,7 +10,6 @@ from driftreplay.learner import (
     fit_offline,
     gradient_check,
     load_checkpoint,
-    nearest_centroid_predict,
     save_checkpoint,
 )
 from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
@@ -70,19 +69,6 @@ def test_gradients_match_finite_differences():
         y = rng.integers(2, size=6)
         worst = max(worst, gradient_check(m, X, y))
     assert worst < 1e-4
-
-
-def test_duplicate_instance_doubles_its_gradient_share():
-    rng = np.random.default_rng(1)
-    m = MlpClassifier(ClassifierSpec(input_dim=3, hidden_sizes=(4,)), rng)
-    m.b = [rng.normal(0.0, 0.1, size=b.shape) for b in m.b]
-    a = rng.normal(size=(1, 3))
-    b = rng.normal(size=(1, 3))
-    _, ga = m.loss_and_grads(a, np.array([0]))
-    _, gb = m.loss_and_grads(b, np.array([1]))
-    _, gall = m.loss_and_grads(np.vstack([a, b, b]), np.array([0, 1, 1]))
-    for combined, one, two in zip(gall, ga, gb):
-        assert np.allclose(combined, (one + 2.0 * two) / 3.0)
 
 
 def test_zero_learning_rate_leaves_weights_unchanged():
@@ -204,16 +190,6 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 64)
     with pytest.raises(ValueError):
         load_checkpoint(path)
-
-
-# --------------------------------------------------------- nearest centroid
-
-def test_nearest_centroid_predict():
-    mem = RsbMemory(RsbConfig(c_min=1, n_s=10**6), np.random.default_rng(0))
-    mem.ingest(inst([0.0], 0))
-    mem.ingest(inst([10.0], 1))
-    assert nearest_centroid_predict(mem, [2.0]) == 0
-    assert nearest_centroid_predict(mem, [9.0]) == 1
 
 
 # ------------------------------------------------- flat layout and optimizer

@@ -267,9 +267,21 @@ def test_check_split_arithmetic():
     assert check_split(windowed_centroid(0, {0: 60, 1: 50}), cfg)       # 0.2 < 0.5
     assert not check_split(windowed_centroid(0, {0: 90, 1: 10}), cfg)   # 8.0 >= 0.5
     assert not check_split(windowed_centroid(0, {0: 70}), cfg)          # pure window
-    switched = windowed_centroid(0, {0: 60, 1: 50})
-    switched.switched_this_pass = True
-    assert not check_split(switched, cfg)
+
+
+@pytest.mark.parametrize("scoped", [False, True])
+def test_a_tick_never_splits_the_centroid_it_switched(scoped):
+    mem = make_memory(c_min=1)
+    mem.ingest(inst([0.0], 1))
+    (c,) = mem.centroids[1]
+    c.window = SlidingWindow(100)
+    for label, n in ((0, 55), (1, 45)):
+        for _ in range(n):
+            c.window.push(inst([0.0], label))
+    assert check_switch(c, mem.config) == 0 and check_split(c, mem.config)
+    events = mem.maintenance([c] if scoped else None)
+    assert [e.kind for e in events] == ["switched"]
+    assert list(mem.all_centroids()) == [c] and c.label == 0
 
 
 def test_apply_split_grouped_means():
@@ -371,6 +383,23 @@ def test_last_centroid_of_a_class_is_never_removed():
     assert mem.centroids[0] == [c]
 
 
+def test_scoped_tick_removes_and_resets_only_its_scope():
+    mem = make_memory(c_min=2)
+    for x, y in (([0.0], 1), ([100.0], 1)):
+        mem.ingest(inst(x, y))
+    a, b = mem.centroids[1]
+    for c in (a, b):
+        c.in_grace_period = False
+        c.registered_since_maintenance = 10
+        c.window_updates_since_tick = 45
+    events = mem.maintenance([b])
+    assert [(e.kind, e.centroid_id) for e in events] == [("removed", b.id)]
+    assert mem.centroids[1] == [a]
+    assert a.registered_since_maintenance == 10  # outside the scope: not reset
+    assert mem.maintenance([a]) == []  # the last label-1 centroid stays
+    assert a.registered_since_maintenance == 0
+
+
 def test_removal_end_to_end_through_ingestion():
     """A centroid that mostly sees opposite-label traffic dies at the tick."""
     mem = make_memory(c_min=2, n_s=100)
@@ -404,6 +433,54 @@ def test_removal_end_to_end_through_ingestion():
     assert [e.centroid_id for e in removed] == [a.id]
     assert mem.centroids[1] == [b]
     assert set(mem.centroids[0]) == {c, d}  # dormant D survives
+
+
+# ---------------------------------------------------------------- invariants
+
+def assert_memory_invariants(mem, events=()):
+    """Structural invariants of a centroid memory after any ingest."""
+    cfg = mem.config
+    ids = []
+    for label, group in mem.centroids.items():
+        assert group, f"label {label} has an empty group"
+        for c in group:
+            assert c.label == label
+            assert all(i.label == c.label for i in c.buffer.items)
+            assert len(c.window) <= cfg.omega_max
+            assert len(c.buffer) <= cfg.b_max
+            ids.append(c.id)
+    assert len(ids) == len(set(ids))
+    for e in events:
+        if e.kind == "removed":
+            assert mem.class_count(e.label) >= 1
+
+
+def label_flip_stream(seed):
+    """3000 draws from six unit-variance 2-D subconcepts 3.0 apart; one flips its label every 500."""
+    rng = np.random.default_rng(seed)
+    means = 3.0 * np.array([[k % 3, k // 3] for k in range(6)], dtype=np.float64)
+    labels = [k % 2 for k in range(6)]
+    for t in range(3000):
+        if t and t % 500 == 0:
+            j = int(rng.integers(6))
+            labels[j] = 1 - labels[j]
+        k = int(rng.integers(6))
+        yield LabeledInstance(rng.normal(means[k], 1.0), labels[k], k)
+
+
+@pytest.mark.parametrize("per_centroid", [False, True])
+@pytest.mark.parametrize("seed", range(5))
+def test_invariants_hold_on_label_flip_streams(seed, per_centroid):
+    mem = make_memory(seed=seed, c_max=6, c_min=2, omega_max=30, b_max=20, n_s=60,
+                      per_centroid_maintenance=per_centroid)
+    kinds = set()
+    for instance in label_flip_stream(seed):
+        events = mem.ingest(instance)
+        assert_memory_invariants(mem, events)
+        kinds.update(e.kind for e in events)
+    # the per-centroid cadence never reaches the removal rule on these streams
+    expected = {"switched", "split"} if per_centroid else {"switched", "split", "removed"}
+    assert expected <= kinds
 
 
 # -------------------------------------------------------- window and buffer
