@@ -1,10 +1,10 @@
 """Experiment orchestration: run each method over a shared stream and report."""
 from __future__ import annotations
 
-import math
+import sys
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +14,7 @@ from .evaluation import MetricsRecord, emit_report, evaluate_batch, omega_all
 from .learner import ClassifierSpec, MlpClassifier, fit_batch, fit_offline
 from .memory import LabeledInstance, RsbConfig, RsbMemory
 from .streams import (
+    FeatureFileError,
     GaussianStreamSpec,
     build_drift_schedule,
     build_stationary_schedule,
@@ -22,20 +23,25 @@ from .streams import (
     load_features,
     load_schedule,
     next_batch,
+    slice_rows,
     warmup_instances,
 )
 
 KNOWN_METHODS = ("rsb", "sb", "cb0", "cb1", "nn", "offline")
 REPLAY_METHODS = ("rsb", "sb", "cb0", "cb1")
+SCHEDULES = ("stationary", "drift")
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = "synthetic"          # "synthetic" or "file:PATH"
-    schedule: str = "stationary"        # "stationary" or "drift"
+    """Every run knob, declared once: command line flags, config-file keys and
+    the memory, learner and synthetic-data specs are derived from the fields."""
+    dataset: str = field(default="synthetic", metadata={"help": "synthetic or file:PATH"})
+    schedule: str = field(default="stationary", metadata={"help": " or ".join(SCHEDULES)})
     schedule_file: str | None = None
-    methods: tuple = KNOWN_METHODS
-    seeds: tuple = (1,)
+    methods: tuple = field(default=KNOWN_METHODS,
+                           metadata={"help": f"comma list from {','.join(KNOWN_METHODS)}"})
+    seeds: tuple = field(default=(1,), metadata={"help": "comma list of integer seeds"})
     out_dir: str = "out"
     jobs: int = 1
     # reactive memory parameters
@@ -49,12 +55,15 @@ class ExperimentConfig:
     beta: float = 4.0
     sigma_k: float = 2.0
     switch_fraction: float = 0.5
-    per_centroid_maintenance: bool = False
+    per_centroid_maintenance: bool = field(default=False, metadata={
+        "help": "tick one centroid each time its window reaches n_s updates; "
+                "same switch/split/removal rules"})
     # class-buffer baseline parameters
     cb_b_max: int = 500
     cb_replay_per_label: int = 10
     # classifier parameters
-    hidden_sizes: tuple = (128, 64, 32)
+    hidden_sizes: tuple = field(default=(128, 64, 32),
+                                metadata={"help": "comma list of layer widths"})
     learning_rate: float = 1e-3
     epochs_per_batch: int = 10
     minibatch_size: int = 32
@@ -75,17 +84,22 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
+        if self.schedule not in SCHEDULES:
+            raise ValueError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
-        self.rsb_config()  # validates the memory parameter block
+        # each spec validates its own block of parameters
+        self.spec(RsbConfig)
+        self.spec(GaussianStreamSpec)
+        self.spec(ClassifierSpec, input_dim=self.dim)
+
+    def spec(self, cls, **given):
+        """Build ``cls`` from the fields it shares with this config, plus ``given``."""
+        mine = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
+        return cls(**{**shared, **given})
 
     def rsb_config(self) -> RsbConfig:
-        return RsbConfig(
-            c_max=self.c_max, c_min=self.c_min, b_max=self.b_max,
-            omega_max=self.omega_max, n_s=self.n_s, tau_s=self.tau_s,
-            alpha_r=self.alpha_r, beta=self.beta, sigma_k=self.sigma_k,
-            switch_fraction=self.switch_fraction,
-            per_centroid_maintenance=self.per_centroid_maintenance,
-        )
+        return self.spec(RsbConfig)
 
     def canonical_text(self) -> str:
         # out_dir and jobs do not influence results, so they stay out of
@@ -104,22 +118,25 @@ def rng_for(seed: int, *names: str) -> np.random.Generator:
 def build_dataset(config: ExperimentConfig, seed: int):
     if config.dataset.startswith("file:"):
         return load_features(config.dataset[len("file:"):])
-    spec = GaussianStreamSpec(
-        n_subconcepts=config.n_subconcepts, dim=config.dim, std=config.std,
-        separation=config.separation, train_per=config.train_per,
-        test_per=config.test_per, seed=seed,
-    )
-    return generate_gaussian(spec)
+    return generate_gaussian(config.spec(GaussianStreamSpec, seed=seed))
 
 
 def build_schedule(config: ExperimentConfig):
     if config.schedule_file:
         return load_schedule(config.schedule_file, config.n_subconcepts)
-    if config.schedule == "stationary":
-        return build_stationary_schedule(config.n_subconcepts)
     if config.schedule == "drift":
         return build_drift_schedule(config.n_subconcepts, config.drift_batches)
-    raise ValueError(f"unknown schedule kind {config.schedule!r}")
+    return build_stationary_schedule(config.n_subconcepts)
+
+
+def build_inputs(config: ExperimentConfig, seed: int):
+    """The dataset of one seed and the schedule; a file dataset sets the subconcept count."""
+    dataset = build_dataset(config, seed)
+    if config.dataset.startswith("file:"):
+        if len(dataset.subconcept_ids) < 2:
+            raise FeatureFileError(f"{config.dataset}: a stream needs at least 2 subconcepts")
+        config = replace(config, n_subconcepts=len(dataset.subconcept_ids))
+    return dataset, build_schedule(config)
 
 
 def _make_memory(method: str, config: ExperimentConfig, rng):
@@ -134,34 +151,22 @@ def _make_memory(method: str, config: ExperimentConfig, rng):
     return None
 
 
-def _classifier_spec(config: ExperimentConfig, dim: int) -> ClassifierSpec:
-    return ClassifierSpec(
-        input_dim=dim, hidden_sizes=config.hidden_sizes,
-        learning_rate=config.learning_rate,
-        epochs_per_batch=config.epochs_per_batch,
-        minibatch_size=config.minibatch_size,
-    )
-
-
 def run_offline_reference(config: ExperimentConfig, dataset, schedule, seed: int):
     """Retrain from scratch after each batch on everything presented so far.
 
     Re-presented data is deduplicated per subconcept and relabeled to the
     current ground truth before retraining.
     """
-    spec = _classifier_spec(config, dataset.dim)
+    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
     masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
              for sid in dataset.subconcept_ids}
+    # slice_rows returns a view, so these assignments mark rows in the masks
     for sid in schedule.warmup_subconcepts:
-        n = len(dataset.train(sid))
-        masks[sid][: math.floor(schedule.warmup_fraction * n)] = True
+        slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
     alphas, per_sub = [], []
     for t in range(len(schedule)):
         e = schedule.entry(t)
-        n = len(dataset.train(e.subconcept_id))
-        lo = math.floor(e.slice_start * n)
-        hi = math.floor(e.slice_end * n)
-        masks[e.subconcept_id][lo:hi] = True
+        slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
         label_map = schedule.current_label_map(t)
         instances = []
         for sid, label in label_map.items():
@@ -184,7 +189,7 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
     sched_rng = rng_for(seed, "schedule")
     train_rng = rng_for(seed, method, "learner")
     memory = _make_memory(method, config, rng_for(seed, method, "memory"))
-    model = MlpClassifier(_classifier_spec(config, dataset.dim),
+    model = MlpClassifier(config.spec(ClassifierSpec, input_dim=dataset.dim),
                           rng_for(seed, method, "init"))
     replay_enabled = method in REPLAY_METHODS
     warm = warmup_instances(schedule, dataset)
@@ -203,8 +208,7 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
 
 def run_seed(config: ExperimentConfig, seed: int):
     """All methods for one seed; returns (records, failures)."""
-    dataset = build_dataset(config, seed)
-    schedule = build_schedule(config)
+    dataset, schedule = build_inputs(config, seed)
     offline_alphas, offline_per_sub = run_offline_reference(config, dataset, schedule, seed)
     records, failures = [], {}
     for method in config.methods:
@@ -228,13 +232,12 @@ def run_experiment(config: ExperimentConfig) -> int:
             recs, fails = run_seed(config, seed)
             records.extend(recs)
             failures.update(fails)
-    if failures:
-        import sys
-        for cell, msg in sorted(failures.items()):
-            print(f"FAILED {cell}: {msg}", file=sys.stderr)
-    if records:
-        emit_report(records, Path(config.out_dir), config.canonical_text())
-    return 0 if records else 1
+    for cell, msg in sorted(failures.items()):
+        print(f"FAILED {cell}: {msg}", file=sys.stderr)
+    if not records:
+        return 1
+    emit_report(records, Path(config.out_dir), config.canonical_text())
+    return 3 if failures else 0
 
 
 def _run_seed_cell(args):

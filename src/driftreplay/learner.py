@@ -6,16 +6,12 @@ against central finite differences.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .memory import LabeledInstance
 from .replay import oversample_balance, sample_replay
-
-CHECKPOINT_MAGIC = b"RSBM"
-CHECKPOINT_VERSION = 1
 
 
 class TrainingDivergedError(RuntimeError):
@@ -118,10 +114,6 @@ class MlpClassifier:
     def predict_labels(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)
 
-    def predict(self, x) -> tuple[int, tuple[float, float]]:
-        p = self.predict_proba(np.asarray(x, dtype=np.float64).reshape(1, -1))[0]
-        return int(p.argmax()), (float(p[0]), float(p[1]))
-
     def loss_and_grads(self, X, y):
         """Mean cross-entropy and analytic gradients, ordered as W then b.
 
@@ -176,9 +168,6 @@ class MlpClassifier:
             raise TrainingDivergedError(f"non-finite training loss: {loss}")
         self.adam_step()
         return loss
-
-    def n_params(self) -> int:
-        return self._theta.size
 
 
 def _to_arrays(batch):
@@ -253,33 +242,3 @@ def gradient_check(model: MlpClassifier, X, y, h: float = 1e-5) -> float:
             denom = max(abs(gflat[k]), abs(numeric), 1e-6)
             worst = max(worst, abs(gflat[k] - numeric) / denom)
     return worst
-
-
-def save_checkpoint(model: MlpClassifier, path):
-    """Flat binary: magic, version, layer dims, then row-major f64 weights and biases."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(model.dims)))
-        fh.write(struct.pack(f"<{len(model.dims)}I", *model.dims))
-        for W, b in zip(model.W, model.b):
-            fh.write(np.ascontiguousarray(W, dtype=np.float64).tobytes())
-            fh.write(np.ascontiguousarray(b, dtype=np.float64).tobytes())
-
-
-def load_checkpoint(path, spec_overrides=None) -> MlpClassifier:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic: {magic!r}")
-        version, ndims = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        dims = struct.unpack(f"<{ndims}I", fh.read(4 * ndims))
-        kwargs = dict(spec_overrides or {})
-        spec = ClassifierSpec(input_dim=dims[0], hidden_sizes=tuple(dims[1:-1]), **kwargs)
-        model = MlpClassifier(spec)
-        # write through the views so the loaded weights stay the ones Adam trains
-        for W, b in zip(model.W, model.b):
-            W[...] = np.frombuffer(fh.read(8 * W.size), dtype=np.float64).reshape(W.shape)
-            b[...] = np.frombuffer(fh.read(8 * b.size), dtype=np.float64).reshape(b.shape)
-    return model

@@ -19,6 +19,7 @@ WARMUP_FRACTION = 0.1
 # Default drifting layout: episode start batch -> drifting subconcept.
 DEFAULT_DRIFT_EPISODES = ((4, 0), (9, 2), (14, 4), (19, 6), (24, 8))
 DEFAULT_DRIFT_BATCHES = 30
+ENTRY_KINDS = ("intro", "drift", "revisit")
 
 
 class ScheduleError(ValueError):
@@ -67,7 +68,7 @@ class ScheduleEntry:
     batch_index: int
     subconcept_id: int
     label: int
-    kind: str  # intro | drift | revisit
+    kind: str  # one of ENTRY_KINDS
     slice_start: float = 0.0
     slice_end: float = 1.0
 
@@ -242,8 +243,10 @@ def load_features(path) -> SubconceptDataset:
             fields = dict(part.split("=") for part in header.split())
             dim = int(fields["dim"])
             n_sub = int(fields["subconcepts"])
+            if dim <= 0 or n_sub <= 0:
+                raise ValueError("dim and subconcepts must be positive")
         except (ValueError, KeyError) as exc:
-            raise FeatureFileError(f"line 1: malformed header {header!r}") from exc
+            raise FeatureFileError(f"{path}: line 1: malformed header {header!r}") from exc
         rows: dict[int, dict[str, list]] = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -252,22 +255,25 @@ def load_features(path) -> SubconceptDataset:
             pieces = line.split(",")
             if len(pieces) != dim + 2:
                 raise FeatureFileError(
-                    f"line {lineno}: expected {dim + 2} fields, got {len(pieces)}")
+                    f"{path}: line {lineno}: expected {dim + 2} fields, got {len(pieces)}")
             try:
                 sid = int(pieces[0])
                 split = pieces[1]
                 vals = [float(v) for v in pieces[2:]]
             except ValueError as exc:
-                raise FeatureFileError(f"line {lineno}: unparsable row") from exc
+                raise FeatureFileError(f"{path}: line {lineno}: unparsable row") from exc
             if split not in ("train", "test"):
-                raise FeatureFileError(f"line {lineno}: unknown split {split!r}")
+                raise FeatureFileError(f"{path}: line {lineno}: unknown split {split!r}")
             if sid < 0 or sid >= n_sub:
-                raise FeatureFileError(f"line {lineno}: unknown subconcept {sid}")
+                raise FeatureFileError(f"{path}: line {lineno}: unknown subconcept {sid}")
+            if not all(math.isfinite(v) for v in vals):
+                raise FeatureFileError(f"{path}: line {lineno}: non-finite feature value")
             rows.setdefault(sid, {"train": [], "test": []})[split].append(vals)
     parts = {}
-    for sid, blocks in rows.items():
-        if not blocks["train"] or not blocks["test"]:
-            raise FeatureFileError(f"subconcept {sid} missing a train or test partition")
+    for sid in range(n_sub):
+        blocks = rows.get(sid)
+        if blocks is None or not blocks["train"] or not blocks["test"]:
+            raise FeatureFileError(f"{path}: subconcept {sid} lacks train or test rows")
         parts[sid] = (np.array(blocks["train"]), np.array(blocks["test"]))
     return SubconceptDataset(dim, parts)
 
@@ -287,17 +293,36 @@ def load_schedule(path, n_subconcepts: int) -> StreamSchedule:
             if not line or line.startswith("#"):
                 continue
             pieces = line.split(",")
+            at = f"{path}: line {lineno}:"
             if len(pieces) != 6:
-                raise ScheduleError(f"line {lineno}: expected 6 fields")
+                raise ScheduleError(f"{at} expected 6 fields")
             try:
-                entries.append(ScheduleEntry(int(pieces[0]), int(pieces[1]), int(pieces[2]),
-                                             pieces[3], float(pieces[4]), float(pieces[5])))
+                e = ScheduleEntry(int(pieces[0]), int(pieces[1]), int(pieces[2]),
+                                  pieces[3], float(pieces[4]), float(pieces[5]))
             except ValueError as exc:
-                raise ScheduleError(f"line {lineno}: unparsable entry") from exc
-    return StreamSchedule(entries, n_subconcepts)
+                raise ScheduleError(f"{at} unparsable entry") from exc
+            if e.batch_index != len(entries):
+                raise ScheduleError(f"{at} batch index {e.batch_index}, expected {len(entries)}")
+            if not 0 <= e.subconcept_id < n_subconcepts:
+                raise ScheduleError(f"{at} unknown subconcept {e.subconcept_id}")
+            if e.label not in (0, 1):
+                raise ScheduleError(f"{at} label {e.label} is not 0 or 1")
+            if e.kind not in ENTRY_KINDS:
+                raise ScheduleError(f"{at} unknown kind {e.kind!r}")
+            if not 0.0 <= e.slice_start < e.slice_end <= 1.0:
+                raise ScheduleError(f"{at} slice {e.slice_start}..{e.slice_end} "
+                                    "breaks 0 <= start < end <= 1")
+            entries.append(e)
+    if not entries:
+        raise ScheduleError(f"{path}: no schedule entries")
+    try:
+        return StreamSchedule(entries, n_subconcepts)
+    except ScheduleError as exc:
+        raise ScheduleError(f"{path}: {exc}") from None
 
 
-def _slice_rows(block: np.ndarray, start: float, end: float) -> np.ndarray:
+def slice_rows(block: np.ndarray, start: float, end: float) -> np.ndarray:
+    """The [start, end) fraction of a block's rows, as a view of the block."""
     n = len(block)
     return block[math.floor(start * n):math.floor(end * n)]
 
@@ -306,7 +331,7 @@ def warmup_instances(schedule: StreamSchedule, dataset: SubconceptDataset):
     """The initialization sample: the first fraction of the warmup subconcepts."""
     out = []
     for sid in schedule.warmup_subconcepts:
-        block = _slice_rows(dataset.train(sid), 0.0, schedule.warmup_fraction)
+        block = slice_rows(dataset.train(sid), 0.0, schedule.warmup_fraction)
         out.extend(LabeledInstance(row.copy(), base_label(sid), sid) for row in block)
     return out
 
@@ -334,7 +359,7 @@ def next_batch(schedule: StreamSchedule, dataset: SubconceptDataset, t: int,
     if t < 0 or t >= len(schedule):
         raise IndexError(f"batch index {t} out of range")
     e = schedule.entry(t)
-    block = _slice_rows(dataset.train(e.subconcept_id), e.slice_start, e.slice_end)
+    block = slice_rows(dataset.train(e.subconcept_id), e.slice_start, e.slice_end)
     order = rng.permutation(len(block))
     instances = [LabeledInstance(block[i].copy(), e.label, e.subconcept_id) for i in order]
     return instances, eval_pool(schedule, dataset, t)

@@ -130,3 +130,99 @@ def test_repeated_runs_are_byte_identical(tmp_path):
             == (out2 / "accuracy_seed7.csv").read_bytes())
     assert ((out1 / "summary.json").read_bytes()
             == (out2 / "summary.json").read_bytes())
+
+
+# ------------------------------------------------- flags derived from fields
+
+def option_strings(command):
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {o for a in sub.choices[command]._actions for o in a.option_strings}
+
+
+def test_run_and_validate_keep_their_option_strings():
+    expected = {
+        "-h", "--help", "--config", "--dataset", "--schedule", "--schedule-file",
+        "--methods", "--seeds", "--out", "--jobs", "--c-max", "--c-min", "--b-max",
+        "--omega-max", "--n-s", "--tau-s", "--alpha-r", "--beta", "--sigma-k",
+        "--switch-fraction", "--per-centroid-maintenance", "--cb-b-max",
+        "--cb-replay-per-label", "--hidden-sizes", "--learning-rate",
+        "--epochs-per-batch", "--minibatch-size", "--n-subconcepts", "--dim", "--std",
+        "--separation", "--train-per", "--test-per", "--drift-batches",
+    }
+    assert option_strings("run") == expected
+    assert option_strings("validate") == expected
+
+
+def test_config_file_values_are_typed(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seeds=3, 4\nhidden_sizes=8,4\nper_centroid_maintenance=true\n"
+                   "c_min=2\nlearning_rate=0.01\nschedule_file=s.txt\n")
+    config = parse_run(["--config", str(cfg)])
+    assert config.seeds == (3, 4)
+    assert config.hidden_sizes == (8, 4)
+    assert config.per_centroid_maintenance is True
+    assert config.c_min == 2 and config.learning_rate == 0.01
+    assert config.schedule_file == "s.txt"
+
+
+def write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def nan_features(tmp_path):
+    return write(tmp_path / "nan.txt", "dim=2 subconcepts=2\n0,train,1.0,nan\n")
+
+
+def bad_schedule(tmp_path):
+    return write(tmp_path / "sched.txt", "0,0,1,intro,0.1,1.0\n1,1,0,outro,0.0,1.0\n")
+
+
+PREFLIGHT = {
+    "config c_max": lambda d: ["validate", "--config", write(d / "b.cfg", "c_max=abc\n")],
+    "config bool": lambda d: ["validate", "--config",
+                              write(d / "b.cfg", "per_centroid_maintenance=ture\n")],
+    "spec dim": lambda d: ["gen-data", "--spec", write(d / "d.cfg", "dim=abc\n"),
+                           "--out", str(d / "x")],
+    "spec std": lambda d: ["gen-data", "--spec", write(d / "d.cfg", "std=-1\n"),
+                           "--out", str(d / "x")],
+    "nan features": lambda d: ["validate", "--dataset", "file:" + nan_features(d)],
+    "bad schedule": lambda d: ["validate", "--schedule-file", bad_schedule(d)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFLIGHT))
+def test_bad_input_file_is_one_error_line_naming_the_file(case, tmp_path, capsys):
+    argv = PREFLIGHT[case](tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(tmp_path) in err[0]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flags", [["--dim", "0"], ["--hidden-sizes", "0"], ["--std", "-1"],
+                                   ["--epochs-per-batch", "0"], ["--train-per", "0"],
+                                   ["--schedule", "weekly"], ["--config", "schedule=bogus"]])
+def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
+    if flags[0] == "--config":
+        flags = ["--config", write(tmp_path / "b.cfg", flags[1] + "\n")]
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_file_dataset_sizes_the_schedule(tmp_path, capsys):
+    spec = write(tmp_path / "data.cfg", "n_subconcepts=3\ndim=3\ntrain_per=20\ntest_per=5\n")
+    features = tmp_path / "features.txt"
+    assert main(["gen-data", "--spec", spec, "--out", str(features)]) == 0
+    argv = ["--dataset", f"file:{features}", "--hidden-sizes", "4", "--epochs-per-batch", "1",
+            "--methods", "rsb", "--seeds", "1", "--out", str(tmp_path / "out")]
+    assert main(["validate", *argv]) == 0
+    assert main(["run", *argv]) == 0
+    lines = (tmp_path / "out" / "accuracy_seed1.csv").read_text().splitlines()
+    assert len([r for r in lines[1:] if r.split(",")[3] == ""]) == 3  # one per subconcept

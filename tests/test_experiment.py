@@ -2,6 +2,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,16 @@ import pytest
 
 import driftreplay.experiment as exp
 from driftreplay.experiment import (
+    KNOWN_METHODS,
     ExperimentConfig,
     build_schedule,
     rng_for,
     run_experiment,
     run_seed,
 )
-from driftreplay.memory import RsbMemory
+from driftreplay.learner import ClassifierSpec
+from driftreplay.memory import RsbConfig, RsbMemory
+from driftreplay.streams import GaussianStreamSpec
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -75,6 +79,41 @@ def test_one_failed_cell_does_not_poison_the_rest(monkeypatch):
     assert set(failures) == {"nn/seed3"}
     assert {r.method for r in records} == {"rsb", "offline"}
 
+
+
+@pytest.mark.parametrize("failing, status", [({"nn"}, 3), (set(KNOWN_METHODS), 1)])
+def test_exit_status_reports_failed_cells(monkeypatch, tmp_path, failing, status):
+    real = exp.run_method
+
+    def flaky(method, *args, **kwargs):
+        if method in failing:
+            raise RuntimeError("boom")
+        return real(method, *args, **kwargs)
+
+    monkeypatch.setattr(exp, "run_method", flaky)
+    out = tmp_path / "out"
+    config = ExperimentConfig(methods=("rsb", "nn", "offline"), out_dir=str(out), **FAST)
+    assert run_experiment(config) == status
+    assert (out / "summary.json").exists() == (status == 3)
+
+
+@pytest.mark.parametrize("spec_cls", [RsbConfig, ClassifierSpec, GaussianStreamSpec])
+def test_shared_fields_have_the_config_defaults(spec_cls):
+    mine = {f.name: f.default for f in fields(ExperimentConfig)}
+    shared = [f for f in fields(spec_cls) if f.name in mine]
+    assert shared
+    for f in shared:
+        assert f.default is not MISSING and f.default == mine[f.name], f.name
+
+
+def test_spec_builds_each_block_from_the_config():
+    config = ExperimentConfig(c_max=7, hidden_sizes=(8, 4), learning_rate=0.01, dim=5,
+                              train_per=30)
+    assert config.rsb_config() == RsbConfig(c_max=7)
+    assert config.spec(ClassifierSpec, input_dim=3) == ClassifierSpec(
+        input_dim=3, hidden_sizes=(8, 4), learning_rate=0.01)
+    assert config.spec(GaussianStreamSpec, seed=2) == GaussianStreamSpec(
+        dim=5, train_per=30, seed=2)
 
 # ------------------------------------------------------- pinned report bytes
 

@@ -214,6 +214,47 @@ def test_schedule_file_arity_error(tmp_path):
         load_schedule(path, 2)
 
 
+
+@pytest.mark.parametrize("text, problem", [
+    ("dim=2 subconcepts=1\n0,train,1.0,2.0\n0,test,nan,0.5\n", "line 3: non-finite"),
+    ("dim=2 subconcepts=1\n0,train,inf,2.0\n0,test,1.0,0.5\n", "line 2: non-finite"),
+    ("dim=1 subconcepts=2\n0,train,1.0\n0,test,1.0\n", "subconcept 1 lacks"),
+    ("dim=0 subconcepts=1\n", "line 1: malformed header"),
+])
+def test_feature_file_rejects_bad_values_and_missing_subconcepts(tmp_path, text, problem):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(FeatureFileError, match=problem) as exc:
+        load_features(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("second_line, problem", [
+    ("1,1,0,outro,0.0,1.0", "line 2: unknown kind 'outro'"),
+    ("1,1,0,intro,0.6,0.4", "line 2: slice 0.6..0.4"),
+    ("1,1,0,intro,0.0,1.5", "line 2: slice 0.0..1.5"),
+    ("1,1,0,intro,-0.1,1.0", "line 2: slice -0.1..1.0"),
+    ("2,1,0,intro,0.0,1.0", "line 2: batch index 2, expected 1"),
+    ("0,1,0,intro,0.0,1.0", "line 2: batch index 0, expected 1"),
+    ("1,2,1,intro,0.0,1.0", "line 2: unknown subconcept 2"),
+    ("1,-1,1,intro,0.0,1.0", "line 2: unknown subconcept -1"),
+    ("1,1,2,drift,0.0,1.0", "line 2: label 2 is not 0 or 1"),
+    ("1,1,1,intro,0.0,1.0", "label change outside a drift entry"),
+])
+def test_schedule_file_rejects_bad_entries(tmp_path, second_line, problem):
+    path = tmp_path / "sched.txt"
+    path.write_text(f"0,0,1,intro,0.1,1.0\n{second_line}\n")
+    with pytest.raises(ScheduleError, match=problem) as exc:
+        load_schedule(path, 2)
+    assert str(path) in str(exc.value)
+
+
+def test_schedule_file_needs_an_entry(tmp_path):
+    path = tmp_path / "sched.txt"
+    path.write_text("# nothing scheduled\n")
+    with pytest.raises(ScheduleError, match="no schedule entries"):
+        load_schedule(path, 2)
+
 # ---------------------------------------------------------------- emission
 
 def test_warmup_sizes():
