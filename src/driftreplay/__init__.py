@@ -6,7 +6,6 @@ from .memory import (
     RsbConfig,
     RsbMemory,
     apply_split,
-    apply_switch,
     check_split,
     check_switch,
     find_nearest,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -27,9 +28,16 @@ def _true_or_false(text: str) -> bool:
     return text.lower() == "true"
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 # Field annotation -> parser of its text form. Fields typed otherwise
 # (GaussianStreamSpec.means) are not settable from text.
-PARSERS = {"int": int, "int | None": int, "float": float, "str": str, "str | None": str,
+PARSERS = {"int": int, "int | None": int, "float": finite_float, "str": str, "str | None": str,
            "tuple": _comma_list, "bool": _true_or_false}
 
 

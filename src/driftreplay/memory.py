@@ -113,22 +113,17 @@ class SlidingWindow:
     def __len__(self):
         return len(self.entries)
 
-    def label_counts(self) -> Counter:
-        return Counter(inst.label for inst in self.entries)
+    def ranked(self) -> list[tuple[int, int]]:
+        """(label, count) pairs, most numerous first; ties go to the lower label."""
+        counts = Counter(inst.label for inst in self.entries)
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def top_two_counts(self) -> tuple[int, int]:
         """Counts of the two most numerous labels; second is 0 if the window is pure."""
-        ranked = sorted(self.label_counts().items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = self.ranked()
         c1 = ranked[0][1] if ranked else 0
         c2 = ranked[1][1] if len(ranked) > 1 else 0
         return c1, c2
-
-    def majority_label(self):
-        counts = self.label_counts()
-        if not counts:
-            return None
-        best = max(counts.values())
-        return min(label for label, n in counts.items() if n == best)
 
 
 class CentroidBuffer:
@@ -160,14 +155,10 @@ class CentroidBuffer:
 
 class ReactiveCentroid:
     def __init__(self, cid: int, instance: LabeledInstance, b_max: int, omega_max: int):
-        x = instance.features
         self.id = cid
         self.label = instance.label
-        self.mean = x.copy()
-        self.m2 = np.zeros_like(x)
-        self.count = 1
         self.buffer = CentroidBuffer(b_max)
-        self.buffer.reset([instance])
+        self.reseed([instance])
         self.window = SlidingWindow(omega_max)
         self.window.push(instance)
         self.registered_since_maintenance = 1
@@ -183,14 +174,15 @@ class ReactiveCentroid:
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
 
-    def rebuild_from(self, instances):
-        """Recompute mean/m2/count from scratch over the given instances."""
+    def reseed(self, instances):
+        """Recompute mean/m2/count over the instances and refill the buffer with them."""
         if not instances:
-            raise IllegalStateError("cannot rebuild centroid from zero instances")
+            raise IllegalStateError("cannot reseed a centroid from zero instances")
         X = np.stack([inst.features for inst in instances])
         self.count = len(instances)
         self.mean = X.mean(axis=0)
         self.m2 = ((X - self.mean) ** 2).sum(axis=0)
+        self.buffer.reset(instances)
 
 
 def find_nearest(centroids, x: np.ndarray) -> ReactiveCentroid:
@@ -222,29 +214,14 @@ def within_bounds(c: ReactiveCentroid, x: np.ndarray, sigma_k: float) -> bool:
 
 def check_switch(c: ReactiveCentroid, config: RsbConfig):
     """Window-majority label if it disagrees with the centroid and is frequent enough."""
-    counts = c.window.label_counts()
-    if not counts:
+    ranked = c.window.ranked()
+    if not ranked:
         return None
-    majority = c.window.majority_label()
+    majority, count = ranked[0]
     needed = math.ceil(config.switch_fraction * config.omega_max)
-    if majority != c.label and counts[majority] >= needed:
+    if majority != c.label and count >= needed:
         return majority
     return None
-
-
-def apply_switch(c: ReactiveCentroid, new_label: int, config: RsbConfig) -> ReactiveCentroid:
-    """Relabel the centroid and rebuild it from its window.
-
-    The buffer is purged and refilled with window instances of the new
-    label; the window itself is retained.
-    """
-    kept = [inst for inst in c.window.entries if inst.label == new_label]
-    if not kept:
-        raise IllegalStateError("no window entry carries the switch target label")
-    c.label = new_label
-    c.rebuild_from(kept)
-    c.buffer.reset(kept)
-    return c
 
 
 def check_split(c: ReactiveCentroid, config: RsbConfig) -> bool:
@@ -268,9 +245,6 @@ class _CentroidMemory:
     def all_centroids(self):
         for label in sorted(self.centroids):
             yield from self.centroids[label]
-
-    def class_count(self, label: int) -> int:
-        return len(self.centroids.get(label, []))
 
     def _validate(self, instance: LabeledInstance) -> np.ndarray:
         x = as_features(instance.features)
@@ -346,13 +320,14 @@ class RsbMemory(_CentroidMemory):
         return events
 
     def _switch(self, c: ReactiveCentroid, events: list[MemoryEvent]) -> bool:
-        """Relabel c to its window majority if check_switch says so."""
+        """Relabel c to its window majority if check_switch says so, and
+        reseed it from the window entries of that label (the window stays)."""
         new_label = check_switch(c, self.config)
         if new_label is None:
             return False
         old = c.label
         self._move(c, new_label)
-        apply_switch(c, new_label, self.config)
+        c.reseed([inst for inst in c.window.entries if inst.label == new_label])
         events.append(MemoryEvent("switched", c.id, new_label, f"from {old}"))
         return True
 
@@ -407,29 +382,21 @@ def apply_split(memory: _CentroidMemory, c: ReactiveCentroid):
     the runner-up label and is seeded (stats, buffer, window) from its
     window entries. The split may transiently push a class past c_max.
     """
-    ranked = sorted(c.window.label_counts().items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = c.window.ranked()
     if len(ranked) < 2:
         raise IllegalStateError("split requires at least two labels in the window")
-    major, minor = ranked[0][0], ranked[1][0]
-    major_entries = [inst for inst in c.window.entries if inst.label == major]
-    minor_entries = [inst for inst in c.window.entries if inst.label == minor]
+    major, minor = ([inst for inst in c.window.entries if inst.label == label]
+                    for label, _ in ranked[:2])
+    if c.label != major[0].label:
+        memory._move(c, major[0].label)
+    c.reseed(major)
+    c.window = SlidingWindow(memory.config.omega_max)
+    for inst in major:
+        c.window.push(inst)
 
-    if c.label != major:
-        memory._move(c, major)
-    c.rebuild_from(major_entries)
-    c.buffer.reset(major_entries)
-    fresh = SlidingWindow(memory.config.omega_max)
-    for inst in major_entries:
-        fresh.push(inst)
-    c.window = fresh
-
-    born = ReactiveCentroid(memory._next_id, minor_entries[0], memory.config.b_max, memory.config.omega_max)
-    memory._next_id += 1
-    for inst in minor_entries[1:]:
+    born = memory._create(minor[0])
+    for inst in minor[1:]:
         born.window.push(inst)
-    born.rebuild_from(minor_entries)
-    born.buffer.reset(minor_entries)
-    born.registered_since_maintenance = len(minor_entries)
-    born.window_updates_since_tick = len(minor_entries)
-    memory.centroids.setdefault(minor, []).append(born)
+    born.reseed(minor)
+    born.registered_since_maintenance = born.window_updates_since_tick = len(minor)
     return c, born

@@ -120,13 +120,7 @@ class StreamSchedule:
 
 def build_stationary_schedule(n_subconcepts: int) -> StreamSchedule:
     """One intro batch per subconcept with interleaved labels, no drift."""
-    if n_subconcepts < 2:
-        raise ScheduleError("need at least 2 subconcepts")
-    entries = []
-    for k in range(n_subconcepts):
-        start = WARMUP_FRACTION if k in (0, 1) else 0.0
-        entries.append(ScheduleEntry(k, k, base_label(k), "intro", start, 1.0))
-    return StreamSchedule(entries, n_subconcepts)
+    return build_drift_schedule(n_subconcepts, n_subconcepts, drift_episodes=())
 
 
 def build_drift_schedule(n_subconcepts: int = 10, n_batches: int = DEFAULT_DRIFT_BATCHES,
@@ -236,8 +230,16 @@ def save_features(dataset: SubconceptDataset, path):
                     fh.write(f"{sid},{split},{vals}\n")
 
 
+def _open_input(path, error: type[Exception]):
+    """Open a text input file; an unreadable path raises `error` naming it."""
+    try:
+        return open(path, "r", encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def load_features(path) -> SubconceptDataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path, FeatureFileError) as fh:
         header = fh.readline().strip()
         try:
             fields = dict(part.split("=") for part in header.split())
@@ -287,7 +289,7 @@ def save_schedule(schedule: StreamSchedule, path):
 
 def load_schedule(path, n_subconcepts: int) -> StreamSchedule:
     entries = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_input(path, ScheduleError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

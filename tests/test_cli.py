@@ -188,6 +188,11 @@ PREFLIGHT = {
                            "--out", str(d / "x")],
     "nan features": lambda d: ["validate", "--dataset", "file:" + nan_features(d)],
     "bad schedule": lambda d: ["validate", "--schedule-file", bad_schedule(d)],
+    "missing features": lambda d: ["validate", "--dataset", f"file:{d / 'missing.txt'}"],
+    "missing schedule": lambda d: ["validate", "--schedule-file", str(d / "nope.txt")],
+    "config nan": lambda d: ["validate", "--config", write(d / "b.cfg", "tau_s=nan\n")],
+    "spec inf": lambda d: ["gen-data", "--spec", write(d / "d.cfg", "separation=inf\n"),
+                           "--out", str(d / "x")],
 }
 
 
@@ -214,6 +219,16 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--tau-s", "nan"), ("--learning-rate", "nan"),
+                                         ("--separation", "inf"), ("--sigma-k", "-inf")])
+def test_non_finite_float_flags_are_refused(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[-1].startswith("driftreplay validate: error: ") and repr(value) in err[-1]
 
 
 def test_file_dataset_sizes_the_schedule(tmp_path, capsys):

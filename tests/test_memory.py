@@ -13,7 +13,6 @@ from driftreplay.memory import (
     SlidingWindow,
     CentroidBuffer,
     apply_split,
-    apply_switch,
     as_features,
     check_split,
     check_switch,
@@ -205,13 +204,20 @@ def test_check_switch_majority_threshold():
     assert check_switch(c, cfg) is None  # 30 < 50
 
 
+def memory_with_window(x, entries, omega_max=100):
+    """A memory whose only centroid (label 1, at x) holds `entries` ((x, y) pairs) in its window."""
+    mem = make_memory(c_min=1, omega_max=omega_max)
+    mem.ingest(inst(x, 1))
+    (c,) = mem.centroids[1]
+    c.window = SlidingWindow(omega_max)
+    for xe, y in entries:
+        c.window.push(inst(xe, y))
+    return mem, c
+
+
 def test_apply_switch_rebuilds_from_window():
-    cfg = RsbConfig()
-    c = make_centroid([9.0], 1)
-    c.window = SlidingWindow(100)
-    for x, y in (([0.0], 0), ([2.0], 0), ([9.0], 1)):
-        c.window.push(inst(x, y))
-    apply_switch(c, 0, cfg)
+    mem, c = memory_with_window([9.0], (([0.0], 0), ([2.0], 0), ([9.0], 1)), omega_max=3)
+    assert [e.kind for e in mem.maintenance([c])] == ["switched"]
     assert c.label == 0
     assert np.allclose(c.mean, [1.0])
     assert c.count == 2
@@ -220,24 +226,17 @@ def test_apply_switch_rebuilds_from_window():
 
 
 def test_apply_switch_purges_old_label_buffer():
-    cfg = RsbConfig()
-    c = make_centroid([0.0], 1)
+    mem, c = memory_with_window([0.0], [([1.0], 0)] * 60)
     for _ in range(99):
         c.buffer.add(inst([0.0], 1), np.random.default_rng(0))
     assert len(c.buffer) == 100
-    c.window = SlidingWindow(100)
-    for _ in range(60):
-        c.window.push(inst([1.0], 0))
-    apply_switch(c, 0, cfg)
+    assert [e.kind for e in mem.maintenance([c])] == ["switched"]
     assert all(i.label == 0 for i in c.buffer.items)
 
 
 def test_apply_switch_single_entry_window():
-    cfg = RsbConfig()
-    c = make_centroid([0.0], 1)
-    c.window = SlidingWindow(100)
-    c.window.push(inst([5.0], 0))
-    apply_switch(c, 0, cfg)
+    mem, c = memory_with_window([0.0], [([5.0], 0)], omega_max=1)
+    assert [e.kind for e in mem.maintenance([c])] == ["switched"]
     assert np.allclose(c.mean, [5.0])
     assert c.count == 1
 
@@ -437,8 +436,16 @@ def test_removal_end_to_end_through_ingestion():
 
 # ---------------------------------------------------------------- invariants
 
-def assert_memory_invariants(mem, events=()):
-    """Structural invariants of a centroid memory after any ingest."""
+def group_sizes(mem):
+    return {label: len(group) for label, group in mem.centroids.items()}
+
+
+def assert_memory_invariants(mem, events=(), before=None):
+    """Structural invariants of a centroid memory after any ingest.
+
+    `before` holds the group sizes from before the ingest that emitted
+    `events`; with it, only a switch or a split may push a label past c_max.
+    """
     cfg = mem.config
     ids = []
     for label, group in mem.centroids.items():
@@ -452,7 +459,9 @@ def assert_memory_invariants(mem, events=()):
     assert len(ids) == len(set(ids))
     for e in events:
         if e.kind == "removed":
-            assert mem.class_count(e.label) >= 1
+            assert len(mem.centroids.get(e.label, [])) >= 1
+        if e.kind == "created" and e.info != "split" and before is not None:
+            assert before.get(e.label, 0) < cfg.c_max
 
 
 def label_flip_stream(seed):
@@ -475,8 +484,9 @@ def test_invariants_hold_on_label_flip_streams(seed, per_centroid):
                       per_centroid_maintenance=per_centroid)
     kinds = set()
     for instance in label_flip_stream(seed):
+        before = group_sizes(mem)
         events = mem.ingest(instance)
-        assert_memory_invariants(mem, events)
+        assert_memory_invariants(mem, events, before)
         kinds.update(e.kind for e in events)
     # the per-centroid cadence never reaches the removal rule on these streams
     expected = {"switched", "split"} if per_centroid else {"switched", "split", "removed"}
@@ -499,9 +509,9 @@ def test_window_top_two_and_majority():
     for y in (1, 1, 1, 0, 0):
         w.push(inst([0.0], y))
     assert w.top_two_counts() == (3, 2)
-    assert w.majority_label() == 1
+    assert w.ranked()[0][0] == 1
     w.push(inst([0.0], 0))
-    assert w.majority_label() == 0  # tie breaks to the lower label
+    assert w.ranked()[0][0] == 0  # tie breaks to the lower label
 
 
 def test_buffer_reservoir_respects_capacity():
@@ -530,7 +540,7 @@ def test_buffer_reservoir_is_uniform_enough():
 def test_rebuild_from_empty_is_illegal():
     c = make_centroid([0.0], 1)
     with pytest.raises(IllegalStateError):
-        c.rebuild_from([])
+        c.reseed([])
 
 
 # --------------------------------------------------------------- determinism
