@@ -46,8 +46,9 @@ def field_parsers(cls) -> dict:
     return {f.name: PARSERS[f.type] for f in fields(cls) if f.type in PARSERS}
 
 
-def read_kv_file(path, parsers=None) -> dict:
-    """Flat key=value text; blank lines and '#' comments are ignored.
+def read_kv_entries(path, parsers=None) -> list:
+    """(line number, key, value) of each line of flat key=value text, in
+    file order; blank lines and '#' comments are ignored.
 
     With ``parsers`` (key -> parser), unknown keys are refused and each
     value is parsed; errors name the file and the line.
@@ -57,7 +58,7 @@ def read_kv_file(path, parsers=None) -> dict:
             lines = fh.readlines()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    values = {}
+    entries = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -72,8 +73,27 @@ def read_kv_file(path, parsers=None) -> dict:
                 value = parsers[key](value)
             except ValueError as exc:
                 raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
-        values[key] = value
-    return values
+        entries.append((lineno, key, value))
+    return entries
+
+
+def _refused_line(cls, path, entries) -> UsageError | None:
+    """The error of the file line from which ``cls`` refuses the file's
+    values, applied over its defaults in file order; None if it takes them.
+
+    A value refused only together with lines before it (``c_min=20`` under
+    the default ``c_max=10``) is blamed on the line that makes the refusal
+    stick, and a later line that cures it clears the blame.
+    """
+    applied, error = {}, None
+    for lineno, key, value in entries:
+        applied[key] = value
+        try:
+            cls(**applied)
+            error = None
+        except ValueError as exc:
+            error = error or UsageError(f"{path}:{lineno}: {key}: {exc}")
+    return error
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -86,10 +106,14 @@ def _add_run_flags(p: argparse.ArgumentParser):
 
 
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults, then config-file values, then explicit flags."""
-    merged = {}
+    """Defaults, then config-file values, then explicit flags.
+
+    A refusal the config file causes on its own names its file and line.
+    """
+    entries = []
     if args.config_file:
-        merged.update(read_kv_file(args.config_file, field_parsers(ExperimentConfig)))
+        entries = read_kv_entries(args.config_file, field_parsers(ExperimentConfig))
+    merged = {key: value for _, key, value in entries}
     for f in fields(ExperimentConfig):
         if getattr(args, f.name) is not None:
             merged[f.name] = getattr(args, f.name)
@@ -98,7 +122,8 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
         return ExperimentConfig(**merged)
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise (_refused_line(ExperimentConfig, args.config_file, entries)
+               or UsageError(str(exc))) from exc
 
 
 def cmd_run(args) -> int:
@@ -114,11 +139,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    values = read_kv_file(args.spec, field_parsers(GaussianStreamSpec))
+    entries = read_kv_entries(args.spec, field_parsers(GaussianStreamSpec))
     try:
-        spec = GaussianStreamSpec(**values)
+        spec = GaussianStreamSpec(**{key: value for _, key, value in entries})
     except ValueError as exc:
-        raise UsageError(f"{args.spec}: {exc}") from exc
+        raise (_refused_line(GaussianStreamSpec, args.spec, entries)
+               or UsageError(f"{args.spec}: {exc}")) from exc
     save_features(generate_gaussian(spec), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -7,7 +7,7 @@ window drives relabeling (switch), splitting and removal of stale clusters.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +96,31 @@ class RsbConfig:
         return self.alpha_r * self.omega_max
 
 
+class LabelCountedDeque(deque):
+    """Bounded deque of instances with a label -> count tally kept in step.
+
+    Only ``append`` (with its oldest-first eviction at ``maxlen``) and
+    ``clear`` keep the tally; windows use no other mutator.
+    """
+
+    def __init__(self, maxlen: int):
+        super().__init__(maxlen=maxlen)
+        self.counts: dict[int, int] = {}
+
+    def append(self, instance: LabeledInstance):
+        if len(self) == self.maxlen:
+            old = self[0].label
+            self.counts[old] -= 1
+            if not self.counts[old]:
+                del self.counts[old]
+        super().append(instance)
+        self.counts[instance.label] = self.counts.get(instance.label, 0) + 1
+
+    def clear(self):
+        super().clear()
+        self.counts.clear()
+
+
 class SlidingWindow:
     """Bounded FIFO of recent instances; eviction is strictly oldest-first."""
 
@@ -103,7 +128,7 @@ class SlidingWindow:
         if capacity <= 0:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self.entries: deque[LabeledInstance] = deque(maxlen=capacity)
+        self.entries = LabelCountedDeque(capacity)
         self.cumulative_updates = 0
 
     def push(self, instance: LabeledInstance):
@@ -115,8 +140,7 @@ class SlidingWindow:
 
     def ranked(self) -> list[tuple[int, int]]:
         """(label, count) pairs, most numerous first; ties go to the lower label."""
-        counts = Counter(inst.label for inst in self.entries)
-        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        return sorted(self.entries.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def top_two_counts(self) -> tuple[int, int]:
         """Counts of the two most numerous labels; second is 0 if the window is pure."""
@@ -186,17 +210,18 @@ class ReactiveCentroid:
 
 
 def find_nearest(centroids, x: np.ndarray) -> ReactiveCentroid:
-    """Centroid with minimal Euclidean distance to x; ties go to the lowest id."""
-    best = None
-    best_d = math.inf
-    for c in centroids:
-        d = float(np.linalg.norm(x - c.mean))
-        if d < best_d or (d == best_d and best is not None and c.id < best.id):
-            best = c
-            best_d = d
-    if best is None:
+    """Centroid with minimal Euclidean distance to x; ties go to the lowest id.
+
+    One vectorized pass over the stacked means. ``sqrt(vecdot(D, D))`` runs
+    the same dot as ``np.linalg.norm`` of each row, so the distances are
+    the same floats bit for bit. Distances that all overflow to inf tie.
+    """
+    cs = list(centroids)
+    if not cs:
         raise EmptyMemoryError("no centroids to search")
-    return best
+    D = x - np.array([c.mean for c in cs])
+    d = np.sqrt(np.vecdot(D, D))
+    return min((cs[i] for i in np.flatnonzero(d == d.min())), key=lambda c: c.id)
 
 
 def within_bounds(c: ReactiveCentroid, x: np.ndarray, sigma_k: float) -> bool:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from driftreplay.cli import build_parser, main, parse_config, read_kv_file
+from driftreplay.cli import build_parser, main, parse_config, read_kv_entries
 from driftreplay.streams import load_features
 
 
@@ -66,7 +66,7 @@ def test_malformed_config_line_rejected(tmp_path):
 def test_kv_file_parsing(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("# comment\n\nalpha_r = 0.3\nmethods=rsb,nn\n")
-    assert read_kv_file(cfg) == {"alpha_r": "0.3", "methods": "rsb,nn"}
+    assert read_kv_entries(cfg) == [(3, "alpha_r", "0.3"), (4, "methods", "rsb,nn")]
 
 
 def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
@@ -219,6 +219,31 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("text, blamed", [
+    ("c_min=20\nc_max=10\n", "1: c_min: need 0 < c_min <= c_max, got 20, 10"),
+    ("# run\nc_max=30\nc_min=20\nschedule=bogus\n", "4: schedule: unknown schedule 'bogus'"),
+])
+def test_value_the_config_refuses_names_its_file_and_line(text, blamed, tmp_path, capsys):
+    cfg = write(tmp_path / "b.cfg", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", cfg])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:{blamed}")
+
+
+def test_config_values_are_judged_together_and_flags_keep_their_message(tmp_path, capsys):
+    # c_min=20 is refused under the default c_max=10 until the next line raises it
+    cfg = write(tmp_path / "b.cfg", "c_min=20\nc_max=30\n")
+    assert parse_run(["--config", cfg]).c_min == 20
+    assert parse_run(["--config", write(tmp_path / "c.cfg", "c_min=20\n"),
+                      "--c-max", "30"]).c_max == 30
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", cfg, "--c-min", "40"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: need 0 < c_min <= c_max, got 40, 30\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--tau-s", "nan"), ("--learning-rate", "nan"),

@@ -1,9 +1,13 @@
 """Unit tests for the reactive centroid memory."""
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from driftreplay.memory import (
     DimensionMismatchError,
+    EmptyMemoryError,
     IllegalStateError,
     LabeledInstance,
     NonFiniteFeatureError,
@@ -153,6 +157,63 @@ def test_find_nearest_matches_exhaustive_scan():
         x = rng.normal(size=8)
         dists = [np.linalg.norm(x - c.mean) for c in centroids]
         assert find_nearest(centroids, x) is centroids[int(np.argmin(dists))]
+
+
+def loop_find_nearest(centroids, x):
+    """The per-centroid scan find_nearest replaced, kept as its reference."""
+    best = None
+    best_d = math.inf
+    for c in centroids:
+        d = float(np.linalg.norm(x - c.mean))
+        if d < best_d or (d == best_d and best is not None and c.id < best.id):
+            best = c
+            best_d = d
+    return best
+
+
+def shuffled_memory(rng, means):
+    """Centroids at `means` with shuffled ids, listed in a shuffled order."""
+    ids = rng.permutation(len(means))
+    centroids = [make_centroid(m, 1, cid=int(i)) for m, i in zip(means, ids)]
+    return [centroids[int(j)] for j in rng.permutation(len(centroids))]
+
+
+def test_find_nearest_matches_the_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        dim = int(rng.integers(1, 101))
+        means = rng.normal(size=(int(rng.integers(1, 91)), dim)) * 10.0 ** rng.integers(-3, 4)
+        centroids = shuffled_memory(rng, means)
+        for x in (rng.normal(size=dim), means[int(rng.integers(len(means)))]):
+            assert find_nearest(centroids, x) is loop_find_nearest(centroids, x)
+
+
+def test_find_nearest_exact_ties_go_to_lowest_id():
+    """Duplicated means tie anywhere; means mirrored through the origin tie at 0."""
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        dim = int(rng.integers(1, 101))
+        base = rng.normal(size=(int(rng.integers(1, 45)), dim))
+        for x, mirror in ((rng.normal(size=dim), 1.0), (np.zeros(dim), -1.0)):
+            nearest = base[int(np.argmin(np.linalg.norm(base - x, axis=1)))]
+            centroids = shuffled_memory(rng, np.vstack([base, nearest, mirror * nearest]))
+            tied = [c for c in centroids if np.array_equal(abs(c.mean - x), abs(nearest - x))]
+            assert len(tied) == 3
+            best = find_nearest(centroids, x)
+            assert best is min(tied, key=lambda c: c.id)
+            assert best is loop_find_nearest(centroids, x)
+
+
+def test_find_nearest_when_every_distance_overflows():
+    a = make_centroid([1e200], 1, cid=4)
+    b = make_centroid([2e200], 1, cid=2)
+    with np.errstate(over="ignore"):
+        assert find_nearest([a, b], np.array([-1e200])) is b
+
+
+def test_find_nearest_on_no_centroids_raises():
+    with pytest.raises(EmptyMemoryError):
+        find_nearest(iter(()), np.array([0.0]))
 
 
 # ------------------------------------------------------------- within_bounds
@@ -454,6 +515,7 @@ def assert_memory_invariants(mem, events=(), before=None):
             assert c.label == label
             assert all(i.label == c.label for i in c.buffer.items)
             assert len(c.window) <= cfg.omega_max
+            assert c.window.entries.counts == Counter(e.label for e in c.window.entries)
             assert len(c.buffer) <= cfg.b_max
             ids.append(c.id)
     assert len(ids) == len(set(ids))
@@ -512,6 +574,20 @@ def test_window_top_two_and_majority():
     assert w.ranked()[0][0] == 1
     w.push(inst([0.0], 0))
     assert w.ranked()[0][0] == 0  # tie breaks to the lower label
+
+
+def test_window_label_counts_follow_pushes_evictions_and_clear():
+    rng = np.random.default_rng(13)
+    w = SlidingWindow(7)
+    for _ in range(60):
+        w.push(inst([0.0], int(rng.integers(3))))
+        assert w.entries.counts == Counter(e.label for e in w.entries)
+    w.entries.clear()
+    assert w.entries.counts == {} and w.ranked() == [] and w.top_two_counts() == (0, 0)
+    for y in (2, 2, 0):
+        w.push(inst([0.0], y))
+    assert w.entries.counts == Counter(e.label for e in w.entries)
+    assert w.ranked() == [(2, 2), (0, 1)]
 
 
 def test_buffer_reservoir_respects_capacity():
