@@ -77,16 +77,24 @@ def read_kv_entries(path, parsers=None) -> list:
     return entries
 
 
-def _refused_line(cls, path, entries) -> UsageError | None:
+def _refused_line(cls, path, entries, fixed) -> UsageError | None:
     """The error of the file line from which ``cls`` refuses the file's
-    values, applied over its defaults in file order; None if it takes them.
+    values, applied in file order over ``fixed`` (the values no file line
+    can change, such as flags); None if ``fixed`` alone is refused or the
+    file's values are taken.
 
     A value refused only together with lines before it (``c_min=20`` under
     the default ``c_max=10``) is blamed on the line that makes the refusal
     stick, and a later line that cures it clears the blame.
     """
-    applied, error = {}, None
+    try:
+        cls(**fixed)
+    except ValueError:
+        return None
+    applied, error = dict(fixed), None
     for lineno, key, value in entries:
+        if key in fixed:
+            continue
         applied[key] = value
         try:
             cls(**applied)
@@ -108,21 +116,22 @@ def _add_run_flags(p: argparse.ArgumentParser):
 def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     """Defaults, then config-file values, then explicit flags.
 
-    A refusal the config file causes on its own names its file and line.
+    A refusal a config-file line causes under the flags names its file and
+    line; a refusal the flags cause on their own keeps its plain message.
     """
     entries = []
     if args.config_file:
         entries = read_kv_entries(args.config_file, field_parsers(ExperimentConfig))
-    merged = {key: value for _, key, value in entries}
-    for f in fields(ExperimentConfig):
-        if getattr(args, f.name) is not None:
-            merged[f.name] = getattr(args, f.name)
-    if "out_dir" not in merged and os.environ.get(OUT_DIR_ENV):
-        merged["out_dir"] = os.environ[OUT_DIR_ENV]
+    from_file = {key: value for _, key, value in entries}
+    # flags, and the environment's out_dir where neither file nor flag sets one
+    fixed = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig)
+             if getattr(args, f.name) is not None}
+    if "out_dir" not in from_file and "out_dir" not in fixed and os.environ.get(OUT_DIR_ENV):
+        fixed["out_dir"] = os.environ[OUT_DIR_ENV]
     try:
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**{**from_file, **fixed})
     except ValueError as exc:
-        raise (_refused_line(ExperimentConfig, args.config_file, entries)
+        raise (_refused_line(ExperimentConfig, args.config_file, entries, fixed)
                or UsageError(str(exc))) from exc
 
 
@@ -143,7 +152,7 @@ def cmd_gen_data(args) -> int:
     try:
         spec = GaussianStreamSpec(**{key: value for _, key, value in entries})
     except ValueError as exc:
-        raise (_refused_line(GaussianStreamSpec, args.spec, entries)
+        raise (_refused_line(GaussianStreamSpec, args.spec, entries, {})
                or UsageError(f"{args.spec}: {exc}")) from exc
     save_features(generate_gaussian(spec), args.out)
     print(f"wrote {args.out}")

@@ -215,13 +215,20 @@ def find_nearest(centroids, x: np.ndarray) -> ReactiveCentroid:
     One vectorized pass over the stacked means. ``sqrt(vecdot(D, D))`` runs
     the same dot as ``np.linalg.norm`` of each row, so the distances are
     the same floats bit for bit. Distances that all overflow to inf tie.
+    A NaN distance (from a NaN mean) is skipped; if every one is NaN there
+    is no nearest centroid.
     """
     cs = list(centroids)
     if not cs:
         raise EmptyMemoryError("no centroids to search")
     D = x - np.array([c.mean for c in cs])
     d = np.sqrt(np.vecdot(D, D))
-    return min((cs[i] for i in np.flatnonzero(d == d.min())), key=lambda c: c.id)
+    m = d.min()
+    if math.isnan(m):
+        if np.isnan(d).all():
+            raise EmptyMemoryError("no centroid at a comparable distance")
+        m = np.nanmin(d)
+    return min((cs[i] for i in np.flatnonzero(d == m)), key=lambda c: c.id)
 
 
 def within_bounds(c: ReactiveCentroid, x: np.ndarray, sigma_k: float) -> bool:

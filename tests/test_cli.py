@@ -246,6 +246,28 @@ def test_config_values_are_judged_together_and_flags_keep_their_message(tmp_path
     assert capsys.readouterr().err == "error: need 0 < c_min <= c_max, got 40, 30\n"
 
 
+@pytest.mark.parametrize("text, flags", [
+    ("c_min=20\n", ["--c-max", "30", "--dim", "0"]),
+    ("schedule=bogus\n", ["--schedule", "drift", "--dim", "0"]),
+])
+def test_a_flag_refusal_blames_no_file_line(text, flags, tmp_path, capsys):
+    cfg = write(tmp_path / "b.cfg", text)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", cfg, *flags])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: need >= 2 subconcepts and positive dim\n"
+
+
+def test_file_lines_are_judged_under_the_flags(tmp_path, capsys):
+    # on its own the file is taken; under --c-max 10 its c_min=20 is refused
+    cfg = write(tmp_path / "b.cfg", "c_max=30\nc_min=20\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--config", cfg, "--c-max", "10"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: c_min: need 0 < c_min <= c_max, got 20, 10\n")
+
+
 @pytest.mark.parametrize("flag, value", [("--tau-s", "nan"), ("--learning-rate", "nan"),
                                          ("--separation", "inf"), ("--sigma-k", "-inf")])
 def test_non_finite_float_flags_are_refused(flag, value, capsys):

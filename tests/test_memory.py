@@ -211,6 +211,17 @@ def test_find_nearest_when_every_distance_overflows():
         assert find_nearest([a, b], np.array([-1e200])) is b
 
 
+def test_find_nearest_skips_a_nan_mean_like_the_loop():
+    nan = make_centroid([0.0, 0.0], 1, cid=0)
+    nan.mean = np.array([np.nan, 0.0])
+    far = make_centroid([5.0, 5.0], 1, cid=3)
+    near = make_centroid([1.0, 0.0], 1, cid=7)
+    x = np.array([0.0, 0.0])
+    assert find_nearest([nan, far, near], x) is near is loop_find_nearest([nan, far, near], x)
+    with pytest.raises(EmptyMemoryError):
+        find_nearest([nan], x)
+
+
 def test_find_nearest_on_no_centroids_raises():
     with pytest.raises(EmptyMemoryError):
         find_nearest(iter(()), np.array([0.0]))

@@ -1,12 +1,13 @@
 """Paired before/after benchmark of two driftreplay checkouts.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --pairs 5 \
-        --claim wide-single-pass:rsb_s --out BENCH_nearest_scan.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_nearest_scan.json
 
-For each pair and workload it runs ``python3 perfbench/run.py`` untraced in
-both checkouts, one after the other, alternating which side goes first, so
-that a slow stretch of the machine falls on both sides in turn. Then it
-runs one traced run per side and workload. It writes ``BENCH_<slug>.json``
+For each of ten pairs and each workload of the change's ``BENCHMARK.json``
+it runs ``python3 perfbench/run.py`` untraced on seed 2 in both checkouts,
+one after the other, alternating which side goes first, so that a slow
+stretch of the machine falls on both sides in turn. Each run lasts
+perfbench's own run length. Then it runs one traced run per side and
+workload. It writes ``BENCH_<slug>.json``
 with the environment of each side, every per-pair value, the medians with
 [Q1, Q3], how many pairs the change won, the per-layer metrics and the
 report digests.
@@ -30,16 +31,17 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
-WORKLOADS = ("drift-default", "wide-single-pass")
+PAIRS = 10
+SEED = 2  # the held-out seed
+TIMEOUT_S = 900  # per perfbench run
 
 
-def run_bench(checkout: Path, env: dict, workload: str, seed: int, seconds: float,
-              trace: int) -> dict:
+def run_bench(checkout: Path, env: dict, workload: str, trace: int) -> dict:
     """One perfbench run: its result, environment, digests and reference status."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", repr(seconds), "--trace", str(trace)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
-                          check=True, timeout=3 * seconds + 300)
+                          check=True, timeout=TIMEOUT_S)
     lines = proc.stdout.splitlines()
     run = {"result": json.loads(lines[-1]), "digests": {}, "problems": []}
     for line in lines[:-1]:
@@ -84,20 +86,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=2, help="default: the held-out seed")
-    parser.add_argument("--seconds", type=float, default=60.0, help="per perfbench run")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--claim", default=None,
-                        help="WORKLOAD:METRIC the change claims to improve (recorded only)")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<slug>.json to write")
     args = parser.parse_args(argv)
-    workloads = [w for w in args.workloads.split(",") if w]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for side, path in checkouts.items():
         if not (path / "perfbench" / "run.py").is_file():
             parser.error(f"--{side} {path} holds no perfbench/run.py")
     table = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in table["workloads"]]
     better = {m["name"]: m["better"] for m in table["end_to_end"] + table["per_layer"]}
     # per-layer metrics that must be equal on both sides: every count and ratio
     # except the traced-over-untraced wall time
@@ -114,27 +110,25 @@ def main(argv=None) -> int:
 
         def one(side, workload, trace, label):
             t0 = time.monotonic()
-            run = run_bench(checkouts[side], envs[side], workload, args.seed, args.seconds,
-                            trace)
+            run = run_bench(checkouts[side], envs[side], workload, trace)
             print(f"{label} {workload} {side}: {time.monotonic() - t0:.0f} s, "
                   f"correct={run['result']['correct']}", file=sys.stderr, flush=True)
             return run
 
         runs = {w: [] for w in workloads}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = one(side, workload, 0, f"pair {i + 1}/{args.pairs}")
+                    pair[side] = one(side, workload, 0, f"pair {i + 1}/{PAIRS}")
                 runs[workload].append(pair)
         traced = {w: {side: one(side, w, 1, "traced") for side in SIDES} for w in workloads}
 
     report = {
         "slug": args.out.stem.removeprefix("BENCH_"),
-        "claim": args.claim,
         "protocol": {
-            "pairs": args.pairs, "seed": args.seed, "seconds_per_run": args.seconds,
+            "pairs": PAIRS, "seed": SEED, "seconds_per_run": "perfbench's default",
             "order": "alternating: odd pairs run the parent first, even pairs the change",
             "bytecode": "cached, one fresh cache directory per side, compiled before run 1",
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
