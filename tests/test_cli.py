@@ -221,14 +221,18 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("text, blamed", [
-    ("c_min=20\nc_max=10\n", "1: c_min: need 0 < c_min <= c_max, got 20, 10"),
-    ("# run\nc_max=30\nc_min=20\nschedule=bogus\n", "4: schedule: unknown schedule 'bogus'"),
+@pytest.mark.parametrize("text, flags, blamed", [
+    ("c_min=20\nc_max=10\n", [], "1: c_min: need 0 < c_min <= c_max, got 20, 10"),
+    ("# run\nc_max=30\nc_min=20\nschedule=bogus\n", [],
+     "4: schedule: unknown schedule 'bogus'"),
+    # taken on its own, the file is refused under the flag's c_max
+    ("c_max=30\nc_min=20\n", ["--c-max", "10"], "2: c_min: need 0 < c_min <= c_max, got 20, 10"),
 ])
-def test_value_the_config_refuses_names_its_file_and_line(text, blamed, tmp_path, capsys):
+def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, tmp_path,
+                                                           capsys):
     cfg = write(tmp_path / "b.cfg", text)
     with pytest.raises(SystemExit) as exc:
-        main(["validate", "--config", cfg])
+        main(["validate", "--config", cfg, *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {cfg}:{blamed}")
@@ -256,16 +260,6 @@ def test_a_flag_refusal_blames_no_file_line(text, flags, tmp_path, capsys):
         main(["validate", "--config", cfg, *flags])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: need >= 2 subconcepts and positive dim\n"
-
-
-def test_file_lines_are_judged_under_the_flags(tmp_path, capsys):
-    # on its own the file is taken; under --c-max 10 its c_min=20 is refused
-    cfg = write(tmp_path / "b.cfg", "c_max=30\nc_min=20\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["validate", "--config", cfg, "--c-max", "10"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == (
-        f"error: {cfg}:2: c_min: need 0 < c_min <= c_max, got 20, 10\n")
 
 
 @pytest.mark.parametrize("flag, value", [("--tau-s", "nan"), ("--learning-rate", "nan"),
