@@ -11,8 +11,8 @@ from .memory import (
     find_nearest,
     within_bounds,
 )
-from .baselines import ClassBuffer, StaticCentroidMemory, cb_ingest, cb_sample, sb_ingest
-from .replay import ReplayBatch, oversample_balance, purity, sample_replay
+from .baselines import ClassBuffer, StaticCentroidMemory, cb_sample
+from .replay import oversample_balance, purity, sample_replay
 from .learner import (
     ClassifierSpec,
     MlpClassifier,

@@ -31,19 +31,15 @@ class ClassBuffer:
         self.buffers: dict[int, list[LabeledInstance]] = {}
 
     def ingest(self, instance: LabeledInstance) -> bool:
-        return cb_ingest(self, instance, self.rng)
-
-
-def cb_ingest(buffer: ClassBuffer, instance: LabeledInstance, rng: np.random.Generator) -> bool:
-    """Store if there is room; otherwise replace a random victim when r < tau."""
-    group = buffer.buffers.setdefault(instance.label, [])
-    if len(group) < buffer.b_max:
-        group.append(instance)
-        return True
-    if float(rng.random()) < buffer.tau:
-        group[int(rng.integers(len(group)))] = instance
-        return True
-    return False
+        """Store if there is room; otherwise replace a random victim when r < tau."""
+        group = self.buffers.setdefault(instance.label, [])
+        if len(group) < self.b_max:
+            group.append(instance)
+            return True
+        if float(self.rng.random()) < self.tau:
+            group[int(self.rng.integers(len(group)))] = instance
+            return True
+        return False
 
 
 def cb_sample(buffer: ClassBuffer, k: int, rng: np.random.Generator) -> list[LabeledInstance]:
@@ -70,20 +66,15 @@ class StaticCentroidMemory(_CentroidMemory):
     purity_gated = False
 
     def ingest(self, instance: LabeledInstance) -> MemoryEvent:
-        return sb_ingest(self, instance)
-
-
-def sb_ingest(memory: StaticCentroidMemory, instance: LabeledInstance) -> MemoryEvent:
-    memory._validate(instance)
-    memory.stream_counter += 1
-    y = instance.label
-    own = memory.centroids.get(y, [])
-    if len(own) < memory.config.c_min:
-        c = memory._create(instance)
-        return MemoryEvent("created", c.id, y, "bootstrap")
-    c = find_nearest(own, instance.features)
-    if within_bounds(c, instance.features, memory.config.sigma_k) or len(own) >= memory.config.c_max:
-        memory._assign(c, instance)
-        return MemoryEvent("updated", c.id, c.label)
-    c = memory._create(instance)
-    return MemoryEvent("created", c.id, y)
+        x = self._validate(instance)
+        y = instance.label
+        own = self.centroids.get(y, [])
+        if len(own) < self.config.c_min:
+            c = self._create(instance)
+            return MemoryEvent("created", c.id, y, "bootstrap")
+        c = find_nearest(own, x)
+        if within_bounds(c, x, self.config.sigma_k) or len(own) >= self.config.c_max:
+            self._assign(c, instance)
+            return MemoryEvent("updated", c.id, c.label)
+        c = self._create(instance)
+        return MemoryEvent("created", c.id, y)

@@ -20,10 +20,6 @@ class MetricsRecord:
     offline_alphas: list = field(default_factory=list)
     omega: float | None = None
 
-    @property
-    def batch_count(self):
-        return len(self.alphas)
-
 
 def evaluate_batch(predict_labels, pool):
     """Overall and per-subconcept accuracy over the cumulative test pool.

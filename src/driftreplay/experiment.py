@@ -28,7 +28,6 @@ from .streams import (
 )
 
 KNOWN_METHODS = ("rsb", "sb", "cb0", "cb1", "nn", "offline")
-REPLAY_METHODS = ("rsb", "sb", "cb0", "cb1")
 SCHEDULES = ("stationary", "drift")
 
 
@@ -98,9 +97,6 @@ class ExperimentConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(cls) if f.name in mine}
         return cls(**{**shared, **given})
 
-    def rsb_config(self) -> RsbConfig:
-        return self.spec(RsbConfig)
-
     def canonical_text(self) -> str:
         # out_dir and jobs do not influence results, so they stay out of
         # the config fingerprint
@@ -141,9 +137,9 @@ def build_inputs(config: ExperimentConfig, seed: int):
 
 def _make_memory(method: str, config: ExperimentConfig, rng):
     if method == "rsb":
-        return RsbMemory(config.rsb_config(), rng)
+        return RsbMemory(config.spec(RsbConfig), rng)
     if method == "sb":
-        return StaticCentroidMemory(config.rsb_config(), rng)
+        return StaticCentroidMemory(config.spec(RsbConfig), rng)
     if method in ("cb0", "cb1"):
         tau = 0.0 if method == "cb0" else 1.0
         return ClassBuffer(config.cb_b_max, tau, rng,
@@ -191,14 +187,13 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
     memory = _make_memory(method, config, rng_for(seed, method, "memory"))
     model = MlpClassifier(config.spec(ClassifierSpec, input_dim=dataset.dim),
                           rng_for(seed, method, "init"))
-    replay_enabled = method in REPLAY_METHODS
     warm = warmup_instances(schedule, dataset)
     if warm:
-        fit_batch(model, warm, memory, replay_enabled, train_rng, batch_index=-1)
+        fit_batch(model, warm, memory, train_rng, batch_index=-1)
     alphas, per_sub = [], []
     for t in range(len(schedule)):
         instances, pool = next_batch(schedule, dataset, t, sched_rng)
-        fit_batch(model, instances, memory, replay_enabled, train_rng, batch_index=t)
+        fit_batch(model, instances, memory, train_rng, batch_index=t)
         a, ps = evaluate_batch(model.predict_labels, pool)
         alphas.append(a)
         per_sub.append(ps)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .memory import LabeledInstance
 from .replay import oversample_balance, sample_replay
 
 
@@ -176,9 +175,9 @@ def _to_arrays(batch):
     return X, y
 
 
-def fit_batch(model: MlpClassifier, batch, memory=None, replay_enabled=False,
+def fit_batch(model: MlpClassifier, batch, memory=None,
               rng: np.random.Generator | None = None, batch_index: int = 0) -> TrainRecord:
-    """Train on one stream batch, optionally augmented with replay.
+    """Train on one stream batch; with a memory, every minibatch gets replay.
 
     The memory absorbs every raw instance exactly once, before any
     gradient epoch runs.
@@ -198,10 +197,10 @@ def fit_batch(model: MlpClassifier, batch, memory=None, replay_enabled=False,
         for start in range(0, len(batch), spec.minibatch_size):
             idx = order[start:start + spec.minibatch_size]
             bx, by = X[idx], y[idx]
-            if replay_enabled and memory is not None:
+            if memory is not None:
                 extra = oversample_balance(sample_replay(memory, rng), rng)
-                if extra.instances:
-                    ex, ey = _to_arrays(extra.instances)
+                if extra:
+                    ex, ey = _to_arrays(extra)
                     bx = np.vstack([bx, ex])
                     by = np.concatenate([by, ey])
                     record.replay_consumed += len(extra)
@@ -216,7 +215,7 @@ def fit_offline(spec: ClassifierSpec, instances, rng: np.random.Generator | None
         raise ValueError("need at least one instance")
     rng = rng if rng is not None else np.random.default_rng(0)
     model = MlpClassifier(spec, rng)
-    fit_batch(model, list(instances), memory=None, replay_enabled=False, rng=rng)
+    fit_batch(model, list(instances), rng=rng)
     return model
 
 

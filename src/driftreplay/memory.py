@@ -13,6 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 VAR_FLOOR = 1e-9
+# Largest accepted feature magnitude. Squared deviations stay below 4e200, so
+# Welford and distance sums over any feasible count x dim stay finite.
+MAX_FEATURE_ABS = 1e100
 
 
 class DimensionMismatchError(ValueError):
@@ -32,12 +35,12 @@ class IllegalStateError(RuntimeError):
 
 
 def as_features(values) -> np.ndarray:
-    """Coerce to a finite 1-D float64 vector."""
+    """Coerce to a 1-D float64 vector with every |value| <= MAX_FEATURE_ABS."""
     x = np.asarray(values, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DimensionMismatchError(f"expected non-empty 1-D vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteFeatureError("feature vector contains non-finite values")
+    if not np.abs(x).max() <= MAX_FEATURE_ABS:  # also false for NaN and inf
+        raise NonFiniteFeatureError(f"feature values must be finite and within {MAX_FEATURE_ABS:g}")
     return x
 
 

@@ -1,22 +1,12 @@
-"""Replay batch assembly: purity-gated centroid sampling and class balancing."""
+"""Replay assembly: purity-gated centroid sampling and class balancing."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import ClassBuffer, cb_sample
 from .memory import LabeledInstance
-
-
-@dataclass
-class ReplayBatch:
-    instances: list[LabeledInstance] = field(default_factory=list)
-    provenance: list[int] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.instances)
 
 
 def purity(c1: int, c2: int, beta: float) -> float:
@@ -32,21 +22,16 @@ def purity(c1: int, c2: int, beta: float) -> float:
     return math.tanh(beta * (c1 - c2) / total)
 
 
-def sample_replay(memory, rng: np.random.Generator) -> ReplayBatch:
+def sample_replay(memory, rng: np.random.Generator) -> list[LabeledInstance]:
     """One attempted draw per centroid, gated by window purity.
 
     Class-buffer memories instead draw a fixed number of instances per
     label. Non-gated centroid memories always sample.
     """
-    batch = ReplayBatch()
-    if memory is None:
-        return batch
     if isinstance(memory, ClassBuffer):
-        for inst in cb_sample(memory, memory.replay_per_label, rng):
-            batch.instances.append(inst)
-            batch.provenance.append(inst.label)
-        return batch
+        return cb_sample(memory, memory.replay_per_label, rng)
     beta = memory.config.beta
+    out: list[LabeledInstance] = []
     for c in memory.all_centroids():
         if not c.buffer.items:
             continue
@@ -55,31 +40,24 @@ def sample_replay(memory, rng: np.random.Generator) -> ReplayBatch:
             if not purity(c1, c2, beta) > float(rng.random()):
                 continue
         items = c.buffer.items  # single-label: _assign routing and the switch/split resets
-        batch.instances.append(items[int(rng.integers(len(items)))])
-        batch.provenance.append(c.id)
-    return batch
+        out.append(items[int(rng.integers(len(items)))])
+    return out
 
 
-def oversample_balance(batch: ReplayBatch, rng: np.random.Generator) -> ReplayBatch:
+def oversample_balance(instances: list[LabeledInstance],
+                       rng: np.random.Generator) -> list[LabeledInstance]:
     """Duplicate minority-class instances until both classes appear equally often.
 
-    Single-class and empty batches come back unchanged.
+    Single-class, balanced and empty lists come back unchanged.
     """
-    labels = sorted({inst.label for inst in batch.instances})
+    labels = sorted({inst.label for inst in instances})
     if len(labels) < 2:
-        return batch
-    by_label = {l: [i for i, inst in enumerate(batch.instances) if inst.label == l] for l in labels}
-    counts = {l: len(ix) for l, ix in by_label.items()}
-    minority = min(labels, key=lambda l: (counts[l], l))
-    majority = max(labels, key=lambda l: (counts[l], -l))
-    need = counts[majority] - counts[minority]
-    if need == 0:
-        return batch
-    instances = list(batch.instances)
-    provenance = list(batch.provenance)
+        return instances
+    by_label = {l: [inst for inst in instances if inst.label == l] for l in labels}
+    minority = min(labels, key=lambda l: (len(by_label[l]), l))
+    majority = max(labels, key=lambda l: (len(by_label[l]), -l))
     pool = by_label[minority]
-    for j in rng.integers(len(pool), size=need):
-        src = pool[int(j)]
-        instances.append(batch.instances[src])
-        provenance.append(batch.provenance[src])
-    return ReplayBatch(instances, provenance)
+    need = len(by_label[majority]) - len(pool)
+    if need == 0:
+        return instances
+    return instances + [pool[int(j)] for j in rng.integers(len(pool), size=need)]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import LabeledInstance
+from .memory import MAX_FEATURE_ABS, LabeledInstance
 
 WARMUP_FRACTION = 0.1
 
@@ -268,8 +268,9 @@ def load_features(path) -> SubconceptDataset:
                 raise FeatureFileError(f"{path}: line {lineno}: unknown split {split!r}")
             if sid < 0 or sid >= n_sub:
                 raise FeatureFileError(f"{path}: line {lineno}: unknown subconcept {sid}")
-            if not all(math.isfinite(v) for v in vals):
-                raise FeatureFileError(f"{path}: line {lineno}: non-finite feature value")
+            if not all(abs(v) <= MAX_FEATURE_ABS for v in vals):
+                raise FeatureFileError(f"{path}: line {lineno}: non-finite feature value "
+                                       f"or one beyond {MAX_FEATURE_ABS:g}")
             rows.setdefault(sid, {"train": [], "test": []})[split].append(vals)
     parts = {}
     for sid in range(n_sub):

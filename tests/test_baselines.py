@@ -2,13 +2,7 @@
 import numpy as np
 import pytest
 
-from driftreplay.baselines import (
-    ClassBuffer,
-    StaticCentroidMemory,
-    cb_ingest,
-    cb_sample,
-    sb_ingest,
-)
+from driftreplay.baselines import ClassBuffer, StaticCentroidMemory, cb_sample
 from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
 
 

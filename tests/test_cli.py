@@ -4,6 +4,7 @@ import json
 import pytest
 
 from driftreplay.cli import build_parser, main, parse_config, read_kv_entries
+from driftreplay.memory import RsbConfig
 from driftreplay.streams import load_features
 
 
@@ -22,7 +23,7 @@ FAST = ["--n-subconcepts", "2", "--dim", "4", "--train-per", "60",
 def test_defaults_match_published_settings():
     config = parse_run([])
     assert config.c_max == 10
-    assert config.rsb_config().c_min == 5
+    assert config.spec(RsbConfig).c_min == 5
     assert config.b_max == 100
     assert config.omega_max == 100
     assert config.n_s == 1000

@@ -109,7 +109,7 @@ def test_shared_fields_have_the_config_defaults(spec_cls):
 def test_spec_builds_each_block_from_the_config():
     config = ExperimentConfig(c_max=7, hidden_sizes=(8, 4), learning_rate=0.01, dim=5,
                               train_per=30)
-    assert config.rsb_config() == RsbConfig(c_max=7)
+    assert config.spec(RsbConfig) == RsbConfig(c_max=7)
     assert config.spec(ClassifierSpec, input_dim=3) == ClassifierSpec(
         input_dim=3, hidden_sizes=(8, 4), learning_rate=0.01)
     assert config.spec(GaussianStreamSpec, seed=2) == GaussianStreamSpec(
@@ -149,3 +149,37 @@ def test_small_drift_run_reports_are_pinned(tmp_path, monkeypatch):
         "summary.json": "de358e91e58e3b89600b8d4bfc7dffce84d7af43909f63b330fb2f48e1210e8d",
     }
     assert kinds["switched"] and kinds["split"] and kinds["removed"]
+
+
+def test_wide_single_pass_reports_are_pinned(tmp_path):
+    # perfbench's wide-single-pass workload (about 80 centroids, one epoch
+    # per batch) on its held-out seed: the memory and replay code moves it most
+    got = report_digests(tmp_path, schedule="drift", train_per=50, test_per=40, n_s=400,
+                         dim=64, n_subconcepts=20, c_max=50, epochs_per_batch=1,
+                         seeds=(2,))
+    assert got == {
+        "accuracy_seed2.csv": "8ef1ac4bae5f668e03d983be19df4b63817b9517d578ec1a23d62a5a5c0dea99",
+        "summary.json": "512fa5f7cea04e55a3b94c27a1067cde86e251c967d9bb7429307baf0d907117",
+    }
+
+
+# ------------------------------------------------------ benchmark trace hooks
+
+def test_benchmark_trace_hooks_find_every_wrapped_name(monkeypatch):
+    # perfbench/spans.py wraps callables at the names their callers look up;
+    # entering its trace fails if one of those names is gone
+    monkeypatch.syspath_prepend(str(REFERENCE.parent))
+    import spans
+
+    tracer = spans.Tracer()
+    config = ExperimentConfig(methods=("sb", "cb0"), **FAST)
+    dataset, schedule = exp.build_inputs(config, 3)
+    ones = [1.0] * len(schedule)
+    with spans.traced(tracer):
+        for method in config.methods:
+            exp.run_method(method, config, dataset, schedule, 3, ones,
+                           [{} for _ in ones])
+    assert tracer.counts["baselines.sb_ingest.n"] > 0
+    assert tracer.counts["baselines.cb_ingest.n"] > 0
+    assert tracer.counts["baselines.cb_sample.n"] > 0
+    assert not hasattr(exp.next_batch, "__wrapped__")  # the originals are restored

@@ -107,33 +107,21 @@ def test_epoch_losses_mostly_non_increasing():
     assert ok >= 18
 
 
-def test_empty_replay_source_matches_replay_disabled():
-    # replay enabled but nothing to sample: identical trajectory step for step
+def test_empty_replay_source_matches_replay_disabled(monkeypatch):
+    # a memory that yields no replay trains exactly like no memory, step for step
+    monkeypatch.setattr("driftreplay.learner.sample_replay", lambda memory, rng: [])
     rng = np.random.default_rng(4)
-    batch, _, _ = separable_batch(rng, n=64)
-    spec = ClassifierSpec(input_dim=8, hidden_sizes=(8,), epochs_per_batch=3)
-    m1 = MlpClassifier(spec, np.random.default_rng(9))
-    m2 = MlpClassifier(spec, np.random.default_rng(9))
-    fit_batch(m1, list(batch), memory=None, replay_enabled=False,
-              rng=np.random.default_rng(5))
-    fit_batch(m2, list(batch), memory=None, replay_enabled=True,
-              rng=np.random.default_rng(5))
-    assert all(np.array_equal(a, b) for a, b in zip(m1.W, m2.W))
-    assert all(np.array_equal(a, b) for a, b in zip(m1.b, m2.b))
-
-
-def test_replay_disabled_ignores_memory_contents():
-    rng = np.random.default_rng(6)
     batch, _, _ = separable_batch(rng, n=64)
     spec = ClassifierSpec(input_dim=8, hidden_sizes=(8,), epochs_per_batch=3)
     m1 = MlpClassifier(spec, np.random.default_rng(9))
     m2 = MlpClassifier(spec, np.random.default_rng(9))
     mem = RsbMemory(RsbConfig(c_min=2, n_s=10**6), np.random.default_rng(0))
     fit_batch(m1, [inst(i.features.copy(), i.label) for i in batch],
-              memory=None, replay_enabled=False, rng=np.random.default_rng(7))
-    fit_batch(m2, [inst(i.features.copy(), i.label) for i in batch],
-              memory=mem, replay_enabled=False, rng=np.random.default_rng(7))
-    assert all(np.array_equal(a, b) for a, b in zip(m1.W, m2.W))
+              memory=None, rng=np.random.default_rng(5))
+    rec = fit_batch(m2, [inst(i.features.copy(), i.label) for i in batch],
+                    memory=mem, rng=np.random.default_rng(5))
+    assert all(np.array_equal(a, b) for a, b in zip(m1.W + m1.b, m2.W + m2.b))
+    assert rec.replay_consumed == 0
     assert sum(1 for _ in mem.all_centroids()) > 0  # memory still absorbed the batch
 
 
@@ -143,7 +131,7 @@ def test_fit_batch_counts_replay_consumption():
     mem = RsbMemory(RsbConfig(c_min=2, n_s=10**6), np.random.default_rng(0))
     m = MlpClassifier(ClassifierSpec(input_dim=8, hidden_sizes=(8,), epochs_per_batch=2),
                       np.random.default_rng(0))
-    rec = fit_batch(m, batch, memory=mem, replay_enabled=True, rng=rng)
+    rec = fit_batch(m, batch, memory=mem, rng=rng)
     assert rec.instances_consumed == 64
     assert rec.replay_consumed > 0
 

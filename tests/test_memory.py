@@ -10,6 +10,7 @@ from driftreplay.memory import (
     EmptyMemoryError,
     IllegalStateError,
     LabeledInstance,
+    MAX_FEATURE_ABS,
     NonFiniteFeatureError,
     ReactiveCentroid,
     RsbConfig,
@@ -48,6 +49,20 @@ def test_as_features_rejects_bad_input():
         as_features([1.0, np.nan])
     with pytest.raises(NonFiniteFeatureError):
         as_features([np.inf])
+    with pytest.raises(NonFiniteFeatureError):
+        as_features([0.0, -1.01 * MAX_FEATURE_ABS])
+
+
+def test_huge_features_are_refused_before_they_overflow_the_stats():
+    mem = make_memory(c_min=1)
+    with pytest.raises(NonFiniteFeatureError):
+        for x in (1e200, -1e200, 1e200):  # would leave m2 = inf
+            mem.ingest(inst([x], 0))
+    mem = make_memory(c_min=1)
+    for x in (MAX_FEATURE_ABS, -MAX_FEATURE_ABS, MAX_FEATURE_ABS):
+        mem.ingest(inst([x], 0))
+    (c,) = mem.all_centroids()
+    assert c.count == 3 and np.isfinite(c.m2).all() and np.isfinite(c.variance()).all()
 
 
 def test_config_defaults_and_validation():

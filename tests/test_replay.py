@@ -6,7 +6,7 @@ import pytest
 
 from driftreplay.baselines import ClassBuffer
 from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
-from driftreplay.replay import ReplayBatch, oversample_balance, purity, sample_replay
+from driftreplay.replay import oversample_balance, purity, sample_replay
 
 
 def inst(x, y):
@@ -40,11 +40,6 @@ def pure_memory():
     return mem
 
 
-def test_sample_replay_none_memory_is_empty():
-    batch = sample_replay(None, np.random.default_rng(0))
-    assert len(batch) == 0
-
-
 def test_pure_centroid_inclusion_frequency():
     mem = pure_memory()
     rng = np.random.default_rng(42)
@@ -70,10 +65,9 @@ def test_sampled_instances_come_from_the_buffer_with_current_label():
     rng = np.random.default_rng(3)
     for _ in range(200):
         batch = sample_replay(mem, rng)
-        for i in batch.instances:
+        for i in batch:
             assert id(i) in stored
             assert i.label == c.label
-        assert batch.provenance == [c.id] * len(batch)
 
 
 def test_class_buffer_replay_draws_fixed_count_per_label():
@@ -83,7 +77,7 @@ def test_class_buffer_replay_draws_fixed_count_per_label():
         buf.ingest(inst([float(i)], 1))
     batch = sample_replay(buf, np.random.default_rng(1))
     assert len(batch) == 20
-    assert sum(1 for i in batch.instances if i.label == 0) == 10
+    assert sum(1 for i in batch if i.label == 0) == 10
 
 
 def test_ungated_centroid_memory_always_samples():
@@ -100,21 +94,19 @@ def test_ungated_centroid_memory_always_samples():
 # ------------------------------------------------------- oversample_balance
 
 def test_oversample_duplicates_minority():
-    batch = ReplayBatch([inst([0.0], 1), inst([1.0], 1), inst([2.0], 1), inst([3.0], 0)],
-                        [0, 1, 2, 3])
+    batch = [inst([0.0], 1), inst([1.0], 1), inst([2.0], 1), inst([3.0], 0)]
     out = oversample_balance(batch, np.random.default_rng(0))
-    labels = [i.label for i in out.instances]
+    labels = [i.label for i in out]
     assert labels.count(0) == labels.count(1) == 3
     # the duplicates are copies of the single minority instance
-    assert all(float(i.features[0]) == 3.0 for i in out.instances if i.label == 0)
-    assert len(out.provenance) == len(out.instances)
+    assert all(float(i.features[0]) == 3.0 for i in out if i.label == 0)
+    assert out[:4] == batch  # the input comes first, in order
 
 
 def test_oversample_leaves_balanced_and_degenerate_batches_alone():
-    balanced = ReplayBatch([inst([0.0], 1), inst([1.0], 1), inst([2.0], 0), inst([3.0], 0)],
-                           [0, 1, 2, 3])
+    balanced = [inst([0.0], 1), inst([1.0], 1), inst([2.0], 0), inst([3.0], 0)]
     assert oversample_balance(balanced, np.random.default_rng(0)) is balanced
-    empty = ReplayBatch()
+    empty = []
     assert oversample_balance(empty, np.random.default_rng(0)) is empty
-    single = ReplayBatch([inst([0.0], 1)], [0])
+    single = [inst([0.0], 1)]
     assert oversample_balance(single, np.random.default_rng(0)) is single

@@ -218,6 +218,7 @@ def test_schedule_file_arity_error(tmp_path):
 @pytest.mark.parametrize("text, problem", [
     ("dim=2 subconcepts=1\n0,train,1.0,2.0\n0,test,nan,0.5\n", "line 3: non-finite"),
     ("dim=2 subconcepts=1\n0,train,inf,2.0\n0,test,1.0,0.5\n", "line 2: non-finite"),
+    ("dim=2 subconcepts=1\n0,train,1.0,2.0\n0,test,0.5,1e200\n", "line 3: non-finite"),
     ("dim=1 subconcepts=2\n0,train,1.0\n0,test,1.0\n", "subconcept 1 lacks"),
     ("dim=0 subconcepts=1\n", "line 1: malformed header"),
 ])
