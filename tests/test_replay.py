@@ -100,7 +100,7 @@ def test_oversample_duplicates_minority():
     assert labels.count(0) == labels.count(1) == 3
     # the duplicates are copies of the single minority instance
     assert all(float(i.features[0]) == 3.0 for i in out if i.label == 0)
-    assert out[:4] == batch  # the input comes first, in order
+    assert len(batch) == 4 and all(a is b for a, b in zip(out, batch))  # input first, unmutated
 
 
 def test_oversample_leaves_balanced_and_degenerate_batches_alone():
