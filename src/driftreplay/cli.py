@@ -8,8 +8,8 @@ import sys
 from dataclasses import fields
 
 from .experiment import ExperimentConfig, build_inputs, run_experiment
-from .streams import (FeatureFileError, GaussianStreamSpec, ScheduleError, generate_gaussian,
-                      save_features)
+from .streams import (FeatureFileError, FeatureRangeError, GaussianStreamSpec, ScheduleError,
+                      generate_gaussian, save_features)
 
 OUT_DIR_ENV = "DRIFTREPLAY_OUT"
 
@@ -35,15 +35,14 @@ def finite_float(text: str) -> float:
     return value
 
 
-# Field annotation -> parser of its text form. Fields typed otherwise
-# (GaussianStreamSpec.means) are not settable from text.
+# Field annotation -> parser of its text form.
 PARSERS = {"int": int, "int | None": int, "float": finite_float, "str": str, "str | None": str,
            "tuple": _comma_list, "bool": _true_or_false}
 
 
 def field_parsers(cls) -> dict:
-    """Parser of each text-settable field of a dataclass, by field name."""
-    return {f.name: PARSERS[f.type] for f in fields(cls) if f.type in PARSERS}
+    """Parser of each field of a dataclass, by field name."""
+    return {f.name: PARSERS[f.type] for f in fields(cls)}
 
 
 def read_kv_entries(path, parsers=None) -> list:
@@ -141,7 +140,8 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     config = parse_config(args)
-    build_inputs(config, config.seeds[0])  # loads and checks any input file
+    for seed in config.seeds:  # loads and checks any input file and each seed's data
+        build_inputs(config, seed)
     print(f"config OK: {len(config.methods)} methods, {len(config.seeds)} seeds, "
           f"schedule={config.schedule}, out={config.out_dir}")
     return 0
@@ -186,7 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, FeatureFileError, ScheduleError) as exc:
+    except (UsageError, FeatureFileError, FeatureRangeError, ScheduleError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
 from pathlib import Path
 
@@ -42,7 +41,6 @@ class ExperimentConfig:
                            metadata={"help": f"comma list from {','.join(KNOWN_METHODS)}"})
     seeds: tuple = field(default=(1,), metadata={"help": "comma list of integer seeds"})
     out_dir: str = "out"
-    jobs: int = 1
     # reactive memory parameters
     c_max: int = 10
     c_min: int | None = None
@@ -98,10 +96,8 @@ class ExperimentConfig:
         return cls(**{**shared, **given})
 
     def canonical_text(self) -> str:
-        # out_dir and jobs do not influence results, so they stay out of
-        # the config fingerprint
-        items = sorted((k, v) for k, v in asdict(self).items()
-                       if k not in ("out_dir", "jobs"))
+        # out_dir does not influence results, so it stays out of the config fingerprint
+        items = sorted((k, v) for k, v in asdict(self).items() if k != "out_dir")
         return "\n".join(f"{k}={v!r}" for k, v in items)
 
 
@@ -217,24 +213,13 @@ def run_seed(config: ExperimentConfig, seed: int):
 
 def run_experiment(config: ExperimentConfig) -> int:
     records, failures = [], {}
-    if config.jobs > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            for recs, fails in pool.map(_run_seed_cell, [(config, s) for s in config.seeds]):
-                records.extend(recs)
-                failures.update(fails)
-    else:
-        for seed in config.seeds:
-            recs, fails = run_seed(config, seed)
-            records.extend(recs)
-            failures.update(fails)
+    for seed in config.seeds:
+        recs, fails = run_seed(config, seed)
+        records.extend(recs)
+        failures.update(fails)
     for cell, msg in sorted(failures.items()):
         print(f"FAILED {cell}: {msg}", file=sys.stderr)
     if not records:
         return 1
     emit_report(records, Path(config.out_dir), config.canonical_text())
     return 3 if failures else 0
-
-
-def _run_seed_cell(args):
-    config, seed = args
-    return run_seed(config, seed)

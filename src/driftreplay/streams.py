@@ -30,6 +30,10 @@ class FeatureFileError(ValueError):
     pass
 
 
+class FeatureRangeError(ValueError):
+    """Generated features beyond what the memory accepts."""
+
+
 def base_label(subconcept_id: int) -> int:
     """Interleaved assignment: subconcept 0 is liked (1), 1 is disliked (0), ..."""
     return (subconcept_id + 1) % 2
@@ -74,48 +78,39 @@ class ScheduleEntry:
 
 
 class StreamSchedule:
+    """The batches of a stream and, per batch, the label of every subconcept
+    seen so far (warm-up subconcepts included), in ascending id order."""
+
     def __init__(self, entries, n_subconcepts: int, warmup_subconcepts=(0, 1),
                  warmup_fraction: float = WARMUP_FRACTION):
         self.entries = list(entries)
         self.n_subconcepts = n_subconcepts
         self.warmup_subconcepts = tuple(warmup_subconcepts)
         self.warmup_fraction = warmup_fraction
-        self._flips: dict[int, list[int]] = {}
-        current = {}
-        for e in self.entries:
-            prev = current.get(e.subconcept_id, base_label(e.subconcept_id))
-            if e.label != prev:
-                if e.kind != "drift":
-                    raise ScheduleError(
-                        f"batch {e.batch_index}: label change outside a drift entry")
-                self._flips.setdefault(e.subconcept_id, []).append(e.batch_index)
+        current = {sid: base_label(sid) for sid in self.warmup_subconcepts}
+        self._label_maps: list[dict[int, int]] = []
+        for t, e in enumerate(self.entries):
+            if e.batch_index != t:
+                raise ScheduleError(f"entry {t}: batch index {e.batch_index}, expected {t}")
+            if (e.label != current.get(e.subconcept_id, base_label(e.subconcept_id))
+                    and e.kind != "drift"):
+                raise ScheduleError(f"batch {t}: label change outside a drift entry")
             current[e.subconcept_id] = e.label
+            self._label_maps.append(dict(sorted(current.items())))
 
     def __len__(self):
-        return 0 if not self.entries else self.entries[-1].batch_index + 1
+        return len(self.entries)
 
     def entry(self, t: int) -> ScheduleEntry:
-        for e in self.entries:
-            if e.batch_index == t:
-                return e
-        raise IndexError(f"no schedule entry for batch {t}")
-
-    def label_at(self, subconcept_id: int, t: int) -> int:
-        label = base_label(subconcept_id)
-        for fb in self._flips.get(subconcept_id, []):
-            if t >= fb:
-                label = 1 - label
-        return label
-
-    def seen_subconcepts(self, t: int):
-        seen = set(self.warmup_subconcepts)
-        for e in self.entries:
-            if e.batch_index <= t:
-                seen.add(e.subconcept_id)
-        return sorted(seen)
+        return self.entries[self._index(t)]
 
     def current_label_map(self, t: int) -> dict[int, int]:
-        return {sid: self.label_at(sid, t) for sid in self.seen_subconcepts(t)}
+        return self._label_maps[self._index(t)]
+
+    def _index(self, t: int) -> int:
+        if not 0 <= t < len(self.entries):
+            raise IndexError(f"no schedule entry for batch {t}")
+        return t
 
 
 def build_stationary_schedule(n_subconcepts: int) -> StreamSchedule:
@@ -145,34 +140,29 @@ def build_drift_schedule(n_subconcepts: int = 10, n_batches: int = DEFAULT_DRIFT
     cycle = [k for k in range(n_subconcepts) if k not in drifting] or list(range(n_subconcepts))
 
     entries = []
-    introduced = set()
-    flips: dict[int, int] = {}
-    next_intro = 0
+    labels: dict[int, int] = {}  # current label of each introduced subconcept
     cycle_pos = 0
     t = 0
     while t < n_batches:
         if t in episode_at:
             sid = episode_at[t]
-            if sid not in introduced:
+            if sid not in labels:
                 raise ScheduleError(f"batch {t}: drift references unseen subconcept {sid}")
-            flipped = 1 - (base_label(sid) if sid not in flips else 1 - base_label(sid))
-            flips[sid] = t
-            entries.append(ScheduleEntry(t, sid, flipped, "drift", 0.0, 0.5))
+            labels[sid] = 1 - labels[sid]
+            entries.append(ScheduleEntry(t, sid, labels[sid], "drift", 0.0, 0.5))
             if t + 1 < n_batches:
-                entries.append(ScheduleEntry(t + 1, sid, flipped, "drift", 0.5, 1.0))
+                entries.append(ScheduleEntry(t + 1, sid, labels[sid], "drift", 0.5, 1.0))
             t += 2
-        elif next_intro < n_subconcepts:
-            sid = next_intro
+        elif len(labels) < n_subconcepts:
+            sid = len(labels)
             start = WARMUP_FRACTION if sid in (0, 1) else 0.0
-            entries.append(ScheduleEntry(t, sid, base_label(sid), "intro", start, 1.0))
-            introduced.add(sid)
-            next_intro += 1
+            labels[sid] = base_label(sid)
+            entries.append(ScheduleEntry(t, sid, labels[sid], "intro", start, 1.0))
             t += 1
         else:
             sid = cycle[cycle_pos % len(cycle)]
             cycle_pos += 1
-            label = base_label(sid) if sid not in flips else 1 - base_label(sid)
-            entries.append(ScheduleEntry(t, sid, label, "revisit", 0.0, 1.0))
+            entries.append(ScheduleEntry(t, sid, labels[sid], "revisit", 0.0, 1.0))
             t += 1
     return StreamSchedule(entries, n_subconcepts)
 
@@ -186,7 +176,6 @@ class GaussianStreamSpec:
     train_per: int = 1000
     test_per: int = 200
     seed: int = 0
-    means: np.ndarray | None = None
 
     def __post_init__(self):
         if self.n_subconcepts < 2 or self.dim <= 0:
@@ -200,20 +189,21 @@ class GaussianStreamSpec:
 def generate_gaussian(spec: GaussianStreamSpec) -> SubconceptDataset:
     """Seeded isotropic Gaussian subconcepts with a guaranteed mean separation."""
     rng = np.random.default_rng(spec.seed)
-    if spec.means is not None:
-        means = np.asarray(spec.means, dtype=np.float64)
-    else:
-        means = rng.normal(size=(spec.n_subconcepts, spec.dim))
-        dmin = min(
-            float(np.linalg.norm(means[i] - means[j]))
-            for i in range(spec.n_subconcepts)
-            for j in range(i + 1, spec.n_subconcepts)
-        )
-        means = means * (spec.separation * spec.std / dmin)
+    means = rng.normal(size=(spec.n_subconcepts, spec.dim))
+    dmin = min(
+        float(np.linalg.norm(means[i] - means[j]))
+        for i in range(spec.n_subconcepts)
+        for j in range(i + 1, spec.n_subconcepts)
+    )
+    means = means * (spec.separation * spec.std / dmin)
     parts = {}
     for sid in range(spec.n_subconcepts):
         train = rng.normal(means[sid], spec.std, size=(spec.train_per, spec.dim))
         test = rng.normal(means[sid], spec.std, size=(spec.test_per, spec.dim))
+        if not np.all(np.abs(np.vstack((train, test))) <= MAX_FEATURE_ABS):
+            raise FeatureRangeError(
+                f"separation={spec.separation:g} and std={spec.std:g} give feature values "
+                f"beyond {MAX_FEATURE_ABS:g}")
         parts[sid] = (train, test)
     return SubconceptDataset(spec.dim, parts)
 
@@ -350,17 +340,13 @@ class EvalPool:
 
 
 def eval_pool(schedule: StreamSchedule, dataset: SubconceptDataset, t: int) -> EvalPool:
-    return EvalPool([
-        (sid, dataset.test(sid), schedule.label_at(sid, t))
-        for sid in schedule.seen_subconcepts(t)
-    ])
+    return EvalPool([(sid, dataset.test(sid), label)
+                     for sid, label in schedule.current_label_map(t).items()])
 
 
 def next_batch(schedule: StreamSchedule, dataset: SubconceptDataset, t: int,
                rng: np.random.Generator):
     """Training instances for batch t (shuffled) plus the cumulative eval pool."""
-    if t < 0 or t >= len(schedule):
-        raise IndexError(f"batch index {t} out of range")
     e = schedule.entry(t)
     block = slice_rows(dataset.train(e.subconcept_id), e.slice_start, e.slice_end)
     order = rng.permutation(len(block))

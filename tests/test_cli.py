@@ -1,5 +1,7 @@
 """Unit tests for the command line front end."""
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -143,7 +145,7 @@ def option_strings(command):
 def test_run_and_validate_keep_their_option_strings():
     expected = {
         "-h", "--help", "--config", "--dataset", "--schedule", "--schedule-file",
-        "--methods", "--seeds", "--out", "--jobs", "--c-max", "--c-min", "--b-max",
+        "--methods", "--seeds", "--out", "--c-max", "--c-min", "--b-max",
         "--omega-max", "--n-s", "--tau-s", "--alpha-r", "--beta", "--sigma-k",
         "--switch-fraction", "--per-centroid-maintenance", "--cb-b-max",
         "--cb-replay-per-label", "--hidden-sizes", "--learning-rate",
@@ -152,6 +154,14 @@ def test_run_and_validate_keep_their_option_strings():
     }
     assert option_strings("run") == expected
     assert option_strings("validate") == expected
+
+
+def test_readme_knob_table_lists_every_run_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| group | knobs |"):]
+    table = table[:table.index("\n\n")]
+    listed = set(re.findall(r"`(--[a-z][a-z-]*)`", table))
+    assert listed == option_strings("run") - {"-h", "--help", "--config"}
 
 
 def test_config_file_values_are_typed(tmp_path):
@@ -194,6 +204,8 @@ PREFLIGHT = {
     "config nan": lambda d: ["validate", "--config", write(d / "b.cfg", "tau_s=nan\n")],
     "spec inf": lambda d: ["gen-data", "--spec", write(d / "d.cfg", "separation=inf\n"),
                            "--out", str(d / "x")],
+    "config jobs": lambda d: ["run", "--config", write(d / "b.cfg", "jobs=2\n"),
+                              "--out", str(d / "x")],
 }
 
 
@@ -220,6 +232,37 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_the_jobs_flag_is_refused(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--jobs", "2", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == ["driftreplay: error: unrecognized arguments: --jobs 2"]
+    assert not (tmp_path / "x").exists()
+
+
+BEYOND_THE_BOUND = ["--separation", "1e95", "--std", "1e6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--separation", "1e101"],
+    ["validate", *BEYOND_THE_BOUND, "--seeds", "1,2"],
+    ["run", *FAST, *BEYOND_THE_BOUND],
+    ["gen-data", "--spec", "SPEC"],
+])
+def test_synthetic_features_beyond_the_bound_are_one_error_line(argv, tmp_path, capsys):
+    spec = write(tmp_path / "d.cfg", "separation=1e95\nstd=1e6\n")
+    argv = [spec if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: separation=")
+    assert "std=" in err[0] and "beyond 1e+100" in err[0]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("text, flags, blamed", [

@@ -1,12 +1,15 @@
 """Unit tests for schedules, synthetic data and stream emission."""
 import math
+import re
 
 import numpy as np
 import pytest
 
+from driftreplay.memory import MAX_FEATURE_ABS
 from driftreplay.streams import (
     DEFAULT_DRIFT_EPISODES,
     FeatureFileError,
+    FeatureRangeError,
     GaussianStreamSpec,
     ScheduleEntry,
     ScheduleError,
@@ -70,11 +73,65 @@ def test_drift_schedule_episode_positions():
 def test_drift_flips_subconcept_zero_at_batch_four():
     sched = build_drift_schedule()
     for t in range(4):
-        assert sched.label_at(0, t) == 1
+        assert sched.current_label_map(t)[0] == 1
     for t in range(4, 30):
-        assert sched.label_at(0, t) == 0
+        assert sched.current_label_map(t)[0] == 0
     # non-drifting neighbour keeps its base label throughout
-    assert all(sched.label_at(1, t) == 0 for t in range(30))
+    assert all(sched.current_label_map(t)[1] == 0 for t in range(30))
+
+
+def flip_counting_label_map(schedule, t):
+    """The flip-counting timeline the per-batch label maps replaced, kept as
+    their reference: a subconcept's label is its base label flipped once per
+    label change at or before batch t, over every subconcept seen by then."""
+    flips, current = {}, {}
+    for e in schedule.entries:
+        if e.label != current.get(e.subconcept_id, base_label(e.subconcept_id)):
+            flips.setdefault(e.subconcept_id, []).append(e.batch_index)
+        current[e.subconcept_id] = e.label
+    seen = set(schedule.warmup_subconcepts)
+    seen.update(e.subconcept_id for e in schedule.entries if e.batch_index <= t)
+    return {sid: (base_label(sid) + sum(fb <= t for fb in flips.get(sid, []))) % 2
+            for sid in sorted(seen)}
+
+
+def test_label_maps_match_the_flip_counting_timeline():
+    for n in range(2, 25):
+        for n_batches in (1, 2, 3, 5, 8, 13, 21, 30, 39, 60):
+            for episodes in (None, ()):
+                sched = build_drift_schedule(n, n_batches, drift_episodes=episodes)
+                assert len(sched) == n_batches
+                for t in range(n_batches):
+                    assert sched.entry(t) is sched.entries[t]
+                    want = flip_counting_label_map(sched, t)
+                    assert list(sched.current_label_map(t).items()) == list(want.items())
+
+
+def test_twice_flipped_subconcept_is_revisited_under_its_current_label():
+    sched = build_drift_schedule(2, 12, drift_episodes=((2, 0), (5, 1), (8, 0)))
+    assert [sched.current_label_map(t)[0] for t in (1, 2, 8)] == [1, 0, 1]
+    assert sched.entry(10) == ScheduleEntry(10, 0, 1, "revisit")
+    for t in range(12):
+        assert list(sched.current_label_map(t).items()) == list(
+            flip_counting_label_map(sched, t).items())
+
+
+def test_schedule_rejects_a_gap_in_batch_indices():
+    entries = [ScheduleEntry(0, 0, 1, "intro"), ScheduleEntry(2, 1, 0, "intro")]
+    with pytest.raises(ScheduleError, match="batch index 2, expected 1"):
+        StreamSchedule(entries, 2)
+
+
+def test_lookups_outside_the_schedule_raise_index_error():
+    sched = build_drift_schedule(4, 6)
+    with pytest.raises(IndexError):
+        sched.entry(-1)
+    with pytest.raises(IndexError):
+        sched.entry(len(sched))
+    with pytest.raises(IndexError):
+        sched.current_label_map(-1)
+    with pytest.raises(IndexError):
+        sched.current_label_map(len(sched))
 
 
 def test_drift_schedule_without_episodes_is_stationary_plus_revisits():
@@ -112,13 +169,15 @@ def test_gaussian_generation_is_deterministic():
 
 
 def test_gaussian_sample_means_are_close_to_spec_means():
-    spec = GaussianStreamSpec(n_subconcepts=2, dim=4, train_per=10_000,
-                              test_per=100, seed=9,
-                              means=np.array([[0.0] * 4, [6.0] * 4]))
+    """Both partitions of a subconcept are drawn around one spec mean, so
+    their sample means agree within five standard errors of the difference."""
+    spec = GaussianStreamSpec(n_subconcepts=3, dim=4, std=2.0, train_per=10_000,
+                              test_per=2_000, seed=9)
     data = generate_gaussian(spec)
-    tol = 5.0 / math.sqrt(10_000)
-    assert np.all(np.abs(data.train(0).mean(axis=0) - 0.0) < tol)
-    assert np.all(np.abs(data.train(1).mean(axis=0) - 6.0) < tol)
+    tol = 5.0 * spec.std * math.sqrt(1 / spec.train_per + 1 / spec.test_per)
+    for sid in data.subconcept_ids:
+        gap = data.train(sid).mean(axis=0) - data.test(sid).mean(axis=0)
+        assert np.all(np.abs(gap) < tol)
 
 
 def test_gaussian_minimum_separation_is_enforced():
@@ -133,16 +192,26 @@ def test_gaussian_minimum_separation_is_enforced():
 
 
 def test_six_sigma_clusters_are_nearest_mean_separable():
-    means = np.array([[0.0, 0.0], [6.0, 0.0]])
-    spec = GaussianStreamSpec(n_subconcepts=2, dim=2, train_per=5000,
-                              test_per=10, seed=2, means=means)
+    # with two subconcepts the minimum separation is their one distance: 6 std
+    spec = GaussianStreamSpec(n_subconcepts=2, dim=2, separation=6.0, train_per=5000,
+                              test_per=5000, seed=2)
     data = generate_gaussian(spec)
+    means = [data.train(sid).mean(axis=0) for sid in (0, 1)]
     correct = 0
     for sid in (0, 1):
-        X = data.train(sid)
+        X = data.test(sid)
         d = np.stack([np.linalg.norm(X - m, axis=1) for m in means])
         correct += int((d.argmin(axis=0) == sid).sum())
     assert correct / 10_000 >= 0.99
+
+
+@pytest.mark.parametrize("separation, std", [(1e101, 1.0), (1e95, 1e6), (1e300, 1e300)])
+def test_gaussian_features_beyond_the_memory_bound_are_refused(separation, std):
+    spec = GaussianStreamSpec(n_subconcepts=3, dim=4, separation=separation, std=std,
+                              train_per=5, test_per=5, seed=1)
+    bound = re.escape(f"beyond {MAX_FEATURE_ABS:g}")
+    with pytest.raises(FeatureRangeError, match=f"separation=.* std=.* {bound}"):
+        generate_gaussian(spec)
 
 
 def test_dataset_validation():
