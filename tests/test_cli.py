@@ -244,25 +244,34 @@ def test_the_jobs_flag_is_refused(command, tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-BEYOND_THE_BOUND = ["--separation", "1e95", "--std", "1e6"]
+BEYOND_THE_BOUND = {
+    "validate": lambda d: ["validate", "--separation", "1e101"],
+    "run": lambda d: ["run", *FAST, "--separation", "1e95", "--std", "1e6",
+                      "--out", str(d / "x")],
+    "gen-data": lambda d: ["gen-data", "--spec", write(d / "d.cfg", "separation=1e95\nstd=1e6\n"),
+                           "--out", str(d / "x")],
+}
 
 
-@pytest.mark.parametrize("argv", [
-    ["validate", "--separation", "1e101"],
-    ["validate", *BEYOND_THE_BOUND, "--seeds", "1,2"],
-    ["run", *FAST, *BEYOND_THE_BOUND],
-    ["gen-data", "--spec", "SPEC"],
-])
-def test_synthetic_features_beyond_the_bound_are_one_error_line(argv, tmp_path, capsys):
-    spec = write(tmp_path / "d.cfg", "separation=1e95\nstd=1e6\n")
-    argv = [spec if a == "SPEC" else a for a in argv] + ["--out", str(tmp_path / "x")]
+@pytest.mark.parametrize("case", sorted(BEYOND_THE_BOUND))
+def test_synthetic_features_beyond_the_bound_are_one_error_line(case, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(BEYOND_THE_BOUND[case](tmp_path))
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: separation=")
     assert "std=" in err[0] and "beyond 1e+100" in err[0]
     assert not (tmp_path / "x").exists()
+
+
+def test_validate_generates_the_data_of_every_seed(capsys):
+    # at this separation seed 1's features stay within the bound and seed 2's do not
+    argv = ["validate", *FAST, "--separation", "1.65e100"]
+    assert main([*argv, "--seeds", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seeds", "1,2"])
+    assert exc.value.code == 2
+    assert "beyond 1e+100" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, flags, blamed", [
