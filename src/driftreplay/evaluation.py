@@ -46,8 +46,10 @@ def omega_all(alphas, offline_alphas) -> float:
     o = np.asarray(offline_alphas, dtype=np.float64)
     if a.size == 0 or a.size != o.size:
         raise ValueError("need equally sized, non-empty accuracy sequences")
-    if np.any(o <= 0):
-        raise ValueError("offline accuracy must be positive everywhere")
+    bad = np.flatnonzero(~(o > 0))
+    if bad.size:
+        raise ValueError("offline accuracy must be positive everywhere; it is not at batches "
+                         + ", ".join(str(t) for t in bad))
     return float(np.mean(a / o))
 
 

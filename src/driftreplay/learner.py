@@ -47,10 +47,16 @@ class TrainRecord:
 
 
 def _softmax(z):
-    """Row-wise softmax, computed in place over the logits z."""
-    z -= z.max(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place over the two-column logits z.
+
+    A reduce starts from its first element, so the max and the sum of a
+    two-element row are one ``maximum`` and one add of the columns: the
+    same operations, bit for bit, NaN and inf included.
+    """
+    a, b = z[:, 0], z[:, 1]
+    z -= np.maximum(a, b)[:, None]
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= (a + b)[:, None]
     return z
 
 
@@ -120,17 +126,18 @@ class MlpClassifier:
         overwrites; copy them to keep them.
         """
         n = X.shape[0]
-        rows = np.arange(n)
         acts = self._forward(X)
         delta = _softmax(acts[-1])
-        loss = float(-np.log(delta[rows, y] + 1e-12).mean())
-        delta[rows, y] -= 1.0
+        picked = np.arange(0, 2 * n, 2) + y  # (row, y) in the flat two-column delta
+        flat = delta.reshape(-1)
+        loss = -float(np.add.reduce(np.log(flat[picked] + 1e-12)) / n)  # ndarray.mean's sum/n
+        flat[picked] -= 1.0
         delta /= n
         n_layers = len(self.W)
         gW, gb = self._grads[:n_layers], self._grads[n_layers:]
         for i in range(n_layers - 1, -1, -1):
             np.matmul(acts[i].T, delta, out=gW[i])
-            delta.sum(axis=0, out=gb[i])
+            np.add.reduce(delta, axis=0, out=gb[i])
             if i > 0:
                 delta = delta @ self.W[i].T
                 delta *= acts[i] > 0
@@ -163,14 +170,14 @@ class MlpClassifier:
 
     def train_minibatch(self, X, y) -> float:
         loss, _ = self.loss_and_grads(X, y)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise TrainingDivergedError(f"non-finite training loss: {loss}")
         self.adam_step()
         return loss
 
 
 def _to_arrays(batch):
-    X = np.stack([inst.features for inst in batch])
+    X = np.array([inst.features for inst in batch])
     y = np.array([inst.label for inst in batch], dtype=np.int64)
     return X, y
 
@@ -201,7 +208,7 @@ def fit_batch(model: MlpClassifier, batch, memory=None,
                 extra = oversample_balance(sample_replay(memory, rng), rng)
                 if extra:
                     ex, ey = _to_arrays(extra)
-                    bx = np.vstack([bx, ex])
+                    bx = np.concatenate([bx, ex])
                     by = np.concatenate([by, ey])
                     record.replay_consumed += len(extra)
             losses.append(model.train_minibatch(bx, by))

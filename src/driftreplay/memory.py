@@ -103,12 +103,18 @@ class LabelCountedDeque(deque):
     """Bounded deque of instances with a label -> count tally kept in step.
 
     Only ``append`` (with its oldest-first eviction at ``maxlen``) and
-    ``clear`` keep the tally; windows use no other mutator.
+    ``clear`` keep the tally; windows use no other mutator. Copies and
+    pickles are rebuilt through the constructor, so their tally is fresh.
     """
 
-    def __init__(self, maxlen: int):
+    def __init__(self, iterable=(), maxlen: int | None = None):
         super().__init__(maxlen=maxlen)
         self.counts: dict[int, int] = {}
+        for instance in iterable:
+            self.append(instance)
+
+    def __reduce__(self):
+        return type(self), (list(self), self.maxlen)
 
     def append(self, instance: LabeledInstance):
         if len(self) == self.maxlen:
@@ -131,7 +137,7 @@ class SlidingWindow:
         if capacity <= 0:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self.entries = LabelCountedDeque(capacity)
+        self.entries = LabelCountedDeque(maxlen=capacity)
         self.cumulative_updates = 0
 
     def push(self, instance: LabeledInstance):
@@ -147,10 +153,8 @@ class SlidingWindow:
 
     def top_two_counts(self) -> tuple[int, int]:
         """Counts of the two most numerous labels; second is 0 if the window is pure."""
-        ranked = self.ranked()
-        c1 = ranked[0][1] if ranked else 0
-        c2 = ranked[1][1] if len(ranked) > 1 else 0
-        return c1, c2
+        counts = sorted(self.entries.counts.values(), reverse=True) + [0, 0]
+        return counts[0], counts[1]
 
 
 class CentroidBuffer:

@@ -31,15 +31,16 @@ def sample_replay(memory, rng: np.random.Generator) -> list[LabeledInstance]:
     if isinstance(memory, ClassBuffer):
         return cb_sample(memory, memory.replay_per_label, rng)
     beta = memory.config.beta
+    gated = memory.purity_gated
     out: list[LabeledInstance] = []
     for c in memory.all_centroids():
-        if not c.buffer.items:
-            continue
-        if memory.purity_gated:
-            c1, c2 = c.window.top_two_counts()
-            if not purity(c1, c2, beta) > float(rng.random()):
-                continue
         items = c.buffer.items  # single-label: _assign routing and the switch/split resets
+        if not items:
+            continue
+        if gated:
+            c1, c2 = c.window.top_two_counts()
+            if not purity(c1, c2, beta) > rng.random():
+                continue
         out.append(items[int(rng.integers(len(items)))])
     return out
 

@@ -135,6 +135,21 @@ def test_repeated_runs_are_byte_identical(tmp_path):
             == (out2 / "summary.json").read_bytes())
 
 
+def test_a_one_class_offline_batch_is_named_in_every_failed_cell(tmp_path, capsys):
+    # the drift stream at 4 subconcepts is one-class from batch 9 on; the
+    # offline retrain on seed 2 then scores 0.0 at batches 9 and 26
+    code = main(["run", "--schedule", "drift", "--n-subconcepts", "4", "--dim", "4",
+                 "--train-per", "80", "--test-per", "20", "--n-s", "200",
+                 "--hidden-sizes", "16", "--epochs-per-batch", "3", "--seeds", "2",
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"FAILED {method}/seed2: ValueError: offline accuracy must be positive everywhere; "
+        "it is not at batches 9, 26"
+        for method in sorted(("rsb", "sb", "cb0", "cb1", "nn", "offline"))]
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------- flags derived from fields
 
 def option_strings(command):

@@ -66,8 +66,10 @@ def test_omega_rejects_bad_input():
         omega_all([0.5], [0.5, 0.5])
     with pytest.raises(ValueError):
         omega_all([], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"everywhere; it is not at batches 1$"):
         omega_all([0.5, 0.5], [0.5, 0.0])
+    with pytest.raises(ValueError, match=r"it is not at batches 1, 3$"):
+        omega_all([0.5] * 4, [0.5, -0.5, 0.5, np.nan])
 
 
 def test_omega_invariant_under_paired_permutation():

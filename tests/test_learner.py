@@ -158,15 +158,20 @@ def test_fit_offline_learns_and_is_deterministic():
 
 # ------------------------------------------------- flat layout and optimizer
 
+def _reference_softmax(logits):
+    """Row-wise softmax by axis reductions, as written before the two-column form."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def _reference_loss_and_grads(W, b, X, y):
     """Per-array loss and gradients, as written before the flat layout."""
     acts = [X]
     for i, (Wi, bi) in enumerate(zip(W, b)):
         z = acts[-1] @ Wi + bi
         acts.append(np.maximum(z, 0.0) if i < len(W) - 1 else z)
-    z = acts[-1] - acts[-1].max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = _reference_softmax(acts[-1])
     n = X.shape[0]
     loss = float(-np.log(probs[np.arange(n), y] + 1e-12).mean())
     delta = probs.copy()
@@ -205,8 +210,8 @@ def test_flat_optimizer_is_bit_identical_to_per_array_reference(input_dim, hidde
     vel = [np.zeros_like(p) for p in params]
     assert all(np.array_equal(p, q) for p, q in zip(m.W + m.b, params))
     rng = np.random.default_rng(100 + input_dim)
-    for t in range(1, 26):
-        n = int(rng.integers(1, 60))
+    rows = [1, 2, 7, 33, 50] + [int(rng.integers(1, 60)) for _ in range(20)]
+    for t, n in enumerate(rows, start=1):
         X = rng.normal(size=(n, input_dim))
         y = rng.integers(2, size=n)
         loss, grads = m.loss_and_grads(X, y)
@@ -216,6 +221,47 @@ def test_flat_optimizer_is_bit_identical_to_per_array_reference(input_dim, hidde
         m.adam_step()
         _reference_adam_step(params, ref_grads, mom, vel, t, spec)
         assert all(np.array_equal(p, q) for p, q in zip(m.W + m.b, params))
+
+
+def _proba_matches_reference_softmax():
+    """Whether predict_proba equals the reference softmax of the same logits,
+    on random rows and on rows whose logits are +-inf or NaN."""
+    m = MlpClassifier(ClassifierSpec(input_dim=2, hidden_sizes=()), np.random.default_rng(0))
+    m.W[0][...] = [[2.0, 0.0], [0.0, 2.0]]
+    big = 1e308  # doubled, it overflows to inf
+    X = np.vstack([np.random.default_rng(1).normal(0.0, 30.0, size=(200, 2)),
+                   [[big, big], [big, -big], [-big, big], [-big, -big], [big, 1.0],
+                    [-big, 1.0], [np.inf, 1.0], [np.nan, 1.0], [1.0, np.nan], [0.0, 0.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = m._forward(X)[-1].copy()
+        assert np.isposinf(logits).any() and np.isneginf(logits).any()
+        assert np.isnan(logits).any()
+        return np.array_equal(m.predict_proba(X), _reference_softmax(logits), equal_nan=True)
+
+
+def test_predict_proba_is_bit_identical_to_the_reference_softmax():
+    assert _proba_matches_reference_softmax()
+
+
+def _softmax_by_reciprocal(z):
+    z -= np.maximum(z[:, 0], z[:, 1])[:, None]
+    np.exp(z, out=z)
+    z *= (1.0 / (z[:, 0] + z[:, 1]))[:, None]
+    return z
+
+
+def _softmax_by_complement(z):
+    z -= np.maximum(z[:, 0], z[:, 1])[:, None]
+    np.exp(z, out=z)
+    z[:, 0] /= z[:, 0] + z[:, 1]
+    z[:, 1] = 1.0 - z[:, 0]
+    return z
+
+
+@pytest.mark.parametrize("mutant", [_softmax_by_reciprocal, _softmax_by_complement])
+def test_a_softmax_computed_in_another_order_is_caught(monkeypatch, mutant):
+    monkeypatch.setattr("driftreplay.learner._softmax", mutant)
+    assert not _proba_matches_reference_softmax()
 
 
 def test_gradients_are_views_of_one_reused_buffer():

@@ -1,5 +1,7 @@
 """Unit tests for the reactive centroid memory."""
+import copy
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -542,6 +544,8 @@ def assert_memory_invariants(mem, events=(), before=None):
             assert all(i.label == c.label for i in c.buffer.items)
             assert len(c.window) <= cfg.omega_max
             assert c.window.entries.counts == Counter(e.label for e in c.window.entries)
+            top = [n for _, n in c.window.ranked()[:2]] + [0, 0]
+            assert c.window.top_two_counts() == (top[0], top[1])
             assert len(c.buffer) <= cfg.b_max
             ids.append(c.id)
     assert len(ids) == len(set(ids))
@@ -614,6 +618,49 @@ def test_window_label_counts_follow_pushes_evictions_and_clear():
         w.push(inst([0.0], y))
     assert w.entries.counts == Counter(e.label for e in w.entries)
     assert w.ranked() == [(2, 2), (0, 1)]
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
+}
+
+
+def flip_memory():
+    mem = make_memory(seed=4, c_max=6, c_min=2, omega_max=30, b_max=20, n_s=60)
+    stream = label_flip_stream(4)
+    for _ in range(420):  # the stream's first flip comes at 500, inside the next 200
+        mem.ingest(next(stream))
+    return mem, stream
+
+
+@pytest.mark.parametrize("trip", sorted(ROUND_TRIPS))
+def test_window_entries_copy_with_a_fresh_tally(trip):
+    mem, _ = flip_memory()
+    for c in mem.all_centroids():
+        entries = c.window.entries
+        twin = ROUND_TRIPS[trip](entries)
+        assert type(twin) is type(entries) and twin.maxlen == entries.maxlen
+        assert [e.label for e in twin] == [e.label for e in entries]
+        assert twin.counts == Counter(e.label for e in twin) == entries.counts
+        assert twin.counts is not entries.counts
+
+
+@pytest.mark.parametrize("trip", ["deepcopy", "pickle"])
+def test_a_copied_memory_ingests_like_the_original(trip):
+    mem, stream = flip_memory()
+    twin = ROUND_TRIPS[trip](mem)
+    for m in (mem, twin):
+        for c in m.all_centroids():
+            assert c.window.entries.counts == Counter(e.label for e in c.window.entries)
+    rest = [next(stream) for _ in range(200)]
+    ours = [(e.kind, e.centroid_id, e.label) for i in rest for e in mem.ingest(i)]
+    theirs = [(e.kind, e.centroid_id, e.label)
+              for i in rest for e in twin.ingest(LabeledInstance(i.features.copy(), i.label))]
+    assert ours == theirs
+    assert {"switched", "split"} <= {kind for kind, _, _ in ours}
+    assert_memory_invariants(twin)
 
 
 def test_buffer_reservoir_respects_capacity():

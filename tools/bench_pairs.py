@@ -10,7 +10,8 @@ perfbench's own run length. Then it runs one traced run per side and
 workload. It writes ``BENCH_<slug>.json``
 with the environment of each side, every per-pair value, the medians with
 [Q1, Q3], how many pairs the change won, the per-layer metrics and the
-report digests.
+report digests. Each metric's summary says whether the change's gain is
+beyond noise (``beyond_noise``, against ``parent_iqr``).
 
 Both sides run with bytecode caches: each side gets its own fresh cache
 directory (``PYTHONPYCACHEPREFIX``), compiled before the first run, so a
@@ -64,7 +65,10 @@ def quartiles(values: list) -> dict:
 
 def summarise(pairs: list, better: dict) -> dict:
     """Per metric: each side's median and [Q1, Q3], the relative change of
-    the medians, and the number of pairs in which the change was better."""
+    the medians, the number of pairs in which the change was better, and
+    whether that gain is beyond noise: the change wins at least nine tenths
+    of all pairs (a tie counts for neither side) and its median is better
+    than the parent's by more than the parent's Q3 - Q1."""
     out = {}
     for name in pairs[0]["parent"]:
         if name not in better:
@@ -73,11 +77,14 @@ def summarise(pairs: list, better: dict) -> dict:
         sign = 1.0 if better[name] == "lower" else -1.0
         stats = {side: quartiles(values) for side, values in sides.items()}
         before, after = stats["parent"]["median"], stats["change"]["median"]
+        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        iqr = stats["parent"]["q3"] - stats["parent"]["q1"]
         out[name] = {
             **stats,
             "relative_change": (after - before) / before if before else None,
-            "change_wins": sum(sign * (c - p) < 0 for p, c in zip(sides["parent"],
-                                                                   sides["change"])),
+            "change_wins": wins,
+            "parent_iqr": iqr,
+            "beyond_noise": 10 * wins >= 9 * len(pairs) and sign * (before - after) > iqr,
         }
     return out
 
