@@ -1,6 +1,9 @@
 """Experiment orchestration: run each method over a shared stream and report."""
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -143,32 +146,127 @@ def _make_memory(method: str, config: ExperimentConfig, rng):
     return None
 
 
-def run_offline_reference(config: ExperimentConfig, dataset, schedule, seed: int):
-    """Retrain from scratch after each batch on everything presented so far.
-
-    Re-presented data is deduplicated per subconcept and relabeled to the
-    current ground truth before retraining.
-    """
-    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
+def _presented_masks(schedule, dataset, t: int) -> dict:
+    """Per subconcept, a mask of the training rows presented up to batch t."""
     masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
              for sid in dataset.subconcept_ids}
     # slice_rows returns a view, so these assignments mark rows in the masks
     for sid in schedule.warmup_subconcepts:
         slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
-    alphas, per_sub = [], []
-    for t in range(len(schedule)):
-        e = schedule.entry(t)
+    for e in schedule.entries[:t + 1]:
         slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
-        label_map = schedule.current_label_map(t)
+    return masks
+
+
+def offline_batches(config: ExperimentConfig, dataset, schedule, seed: int, batches):
+    """(accuracy, per-subconcept accuracy) of the offline reference at each
+    batch t in ``batches``, each retrained from scratch on everything
+    presented up to t.
+
+    Re-presented data is deduplicated per subconcept and relabeled to the
+    current ground truth before retraining. Each batch depends only on t.
+    """
+    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
+    out = []
+    for t in batches:
+        masks = _presented_masks(schedule, dataset, t)
         instances = []
-        for sid, label in label_map.items():
+        for sid, label in schedule.current_label_map(t).items():
             block = dataset.train(sid)[masks[sid]]
             instances.extend(LabeledInstance(row, label, sid) for row in block)
         model = fit_offline(spec, instances, rng_for(seed, "offline", str(t)))
-        a, ps = evaluate_batch(model.predict_labels, eval_pool(schedule, dataset, t))
-        alphas.append(a)
-        per_sub.append(ps)
-    return alphas, per_sub
+        out.append(evaluate_batch(model.predict_labels, eval_pool(schedule, dataset, t)))
+    return out
+
+
+def offline_shares(dataset, schedule) -> list[list[int]]:
+    """The schedule's batches split into one share per available CPU.
+
+    Batches go longest-first by training rows, each to the least-loaded
+    share; ties go to the lower batch and the lower share. The split
+    depends only on the inputs and the CPU count, never on timing.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, len(schedule)))
+    rows = [sum(int(m.sum()) for m in _presented_masks(schedule, dataset, t).values())
+            for t in range(len(schedule))]
+    shares, load = [[] for _ in range(n)], [0] * n
+    for t in sorted(range(len(rows)), key=lambda t: (-rows[t], t)):
+        k = load.index(min(load))
+        shares[k].append(t)
+        load[k] += rows[t]
+    return [sorted(share) for share in shares]
+
+
+def _pickled_outcome(work) -> bytes:
+    """``(True, work())`` or ``(False, exception)``, pickled. An exception
+    that does not survive a pickle round trip travels as a RuntimeError
+    carrying its repr."""
+    try:
+        return pickle.dumps((True, work()))
+    except BaseException as exc:  # the parent decides what to raise
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)
+            return data
+        except Exception:
+            return pickle.dumps((False, RuntimeError(repr(exc))))
+
+
+def _fork(work) -> tuple[int, int]:
+    """Run ``work()`` in a forked child; return its pid and the read end of
+    the pipe that carries its pickled outcome. The child never returns."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(_pickled_outcome(work))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _join(pid: int, read_fd: int) -> tuple[bool, object]:
+    """Read a forked child's outcome, then reap it."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        how = f" (signal {signal.Signals(-code).name})" if code < 0 else ""
+        return False, RuntimeError(f"offline share in process {pid} sent no result: "
+                                   f"exit status {code}{how}")
+    return pickle.loads(data)
+
+
+def run_offline_reference(config: ExperimentConfig, dataset, schedule, seed: int):
+    """Retrain from scratch after each batch on everything presented so far.
+
+    The batches are split by ``offline_shares``. The calling process works
+    the first share; every other share runs in a child made with
+    ``os.fork``, which is always reaped before this returns or raises.
+    Each batch is a pure function of its inputs, so the result does not
+    depend on the number of CPUs.
+    """
+    own, *others = offline_shares(dataset, schedule)
+    children = []
+    try:
+        for share in others:
+            children.append(_fork(
+                lambda share=share: offline_batches(config, dataset, schedule, seed, share)))
+        results = dict(zip(own, offline_batches(config, dataset, schedule, seed, own)))
+    finally:
+        outcomes = [_join(pid, fd) for pid, fd in children]
+    for share, (ok, value) in zip(others, outcomes):
+        if not ok:
+            raise value
+        results.update(zip(share, value))
+    ordered = [results[t] for t in range(len(schedule))]
+    return [a for a, _ in ordered], [ps for _, ps in ordered]
 
 
 def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: int,

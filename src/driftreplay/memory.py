@@ -144,9 +144,6 @@ class SlidingWindow:
         self.entries.append(instance)
         self.cumulative_updates += 1
 
-    def __len__(self):
-        return len(self.entries)
-
     def ranked(self) -> list[tuple[int, int]]:
         """(label, count) pairs, most numerous first; ties go to the lower label."""
         return sorted(self.entries.counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -179,9 +176,6 @@ class CentroidBuffer:
     def reset(self, items):
         self.items = list(items)[: self.capacity]
         self.seen = len(self.items)
-
-    def __len__(self):
-        return len(self.items)
 
 
 class ReactiveCentroid:
@@ -277,7 +271,6 @@ class _CentroidMemory:
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.centroids: dict[int, list[ReactiveCentroid]] = {}
-        self.stream_counter = 0
         self.dim: int | None = None
         self._next_id = 0
 
@@ -321,6 +314,10 @@ class RsbMemory(_CentroidMemory):
     """Reactive subspace memory: centroids switch, split and get removed as drift hits."""
 
     purity_gated = True
+
+    def __init__(self, config: RsbConfig, rng: np.random.Generator | None = None):
+        super().__init__(config, rng)
+        self.stream_counter = 0  # instances ingested; maintenance runs every n_s of them
 
     def ingest(self, instance: LabeledInstance) -> list[MemoryEvent]:
         x = self._validate(instance)

@@ -100,7 +100,7 @@ def test_sb_never_touches_opposite_label_centroids():
     e = mem.ingest(inst([0.0], 1))
     assert e.kind == "created"
     assert other.count == count_before
-    assert len(other.window) == 1
+    assert len(other.window.entries) == 1
     assert other.label == 0
 
 

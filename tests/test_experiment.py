@@ -1,6 +1,9 @@
 """Unit tests for experiment orchestration."""
 import hashlib
 import json
+import os
+import signal
+import time
 from collections import Counter
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -17,9 +20,10 @@ from driftreplay.experiment import (
     run_experiment,
     run_seed,
 )
-from driftreplay.learner import ClassifierSpec
-from driftreplay.memory import RsbConfig, RsbMemory
-from driftreplay.streams import GaussianStreamSpec
+from driftreplay.evaluation import evaluate_batch
+from driftreplay.learner import ClassifierSpec, fit_offline
+from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
+from driftreplay.streams import GaussianStreamSpec, eval_pool, slice_rows
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -183,3 +187,150 @@ def test_benchmark_trace_hooks_find_every_wrapped_name(monkeypatch):
     assert tracer.counts["baselines.cb_ingest.n"] > 0
     assert tracer.counts["baselines.cb_sample.n"] > 0
     assert not hasattr(exp.next_batch, "__wrapped__")  # the originals are restored
+
+
+# ------------------------------------------------- offline reference shares
+
+# perfbench's tiny-drift self-test config and acceptance criterion 9's
+# stationary config, each with the seed it runs
+SHARE_CONFIGS = {
+    "tiny-drift": (dict(schedule="drift", n_subconcepts=4, dim=4, train_per=80, test_per=20,
+                        n_s=200, hidden_sizes=(16,), epochs_per_batch=3), 1),
+    "criterion-9": (dict(n_subconcepts=3, dim=4, train_per=80, test_per=20,
+                         hidden_sizes=(16,), epochs_per_batch=3), 11),
+}
+
+
+def incremental_offline_reference(config, dataset, schedule, seed):
+    """The offline reference as one loop whose row masks grow batch by batch."""
+    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
+    masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
+             for sid in dataset.subconcept_ids}
+    for sid in schedule.warmup_subconcepts:
+        slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
+    alphas, per_sub = [], []
+    for t in range(len(schedule)):
+        e = schedule.entry(t)
+        slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
+        instances = []
+        for sid, label in schedule.current_label_map(t).items():
+            block = dataset.train(sid)[masks[sid]]
+            instances.extend(LabeledInstance(row, label, sid) for row in block)
+        model = fit_offline(spec, instances, rng_for(seed, "offline", str(t)))
+        a, ps = evaluate_batch(model.predict_labels, eval_pool(schedule, dataset, t))
+        alphas.append(a)
+        per_sub.append(ps)
+    return alphas, per_sub
+
+
+def share_inputs(name):
+    overrides, seed = SHARE_CONFIGS[name]
+    config = ExperimentConfig(seeds=(seed,), **overrides)
+    return (config, *exp.build_inputs(config, seed), seed)
+
+
+def report_cpus(monkeypatch, n):
+    monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
+def test_offline_reference_is_identical_on_any_cpu_count(monkeypatch, name):
+    config, dataset, schedule, seed = share_inputs(name)
+    expected = incremental_offline_reference(config, dataset, schedule, seed)
+    for cpus in (1, 2, 3, 64):
+        report_cpus(monkeypatch, cpus)
+        with monkeypatch.context() as m:
+            if cpus == 1:  # one CPU: everything runs in the calling process
+                m.setattr(exp.os, "fork", None)
+            got = exp.run_offline_reference(config, dataset, schedule, seed)
+        assert repr(got) == repr(expected), f"{cpus} CPUs"
+        assert_no_child_left()
+
+
+@pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
+def test_offline_shares_cover_every_batch_once_and_are_static(monkeypatch, name):
+    _, dataset, schedule, _ = share_inputs(name)
+    for cpus in (1, 2, 3, 64):
+        report_cpus(monkeypatch, cpus)
+        shares = exp.offline_shares(dataset, schedule)
+        assert len(shares) == min(cpus, len(schedule))
+        assert sorted(t for share in shares for t in share) == list(range(len(schedule)))
+        assert all(share == sorted(share) for share in shares)
+        assert exp.offline_shares(dataset, schedule) == shares
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_offline_shares_go_longest_first_to_the_least_loaded(monkeypatch, cpus):
+    _, dataset, schedule, _ = share_inputs("tiny-drift")
+    report_cpus(monkeypatch, cpus)
+    rows = [sum(int(m.sum()) for m in exp._presented_masks(schedule, dataset, t).values())
+            for t in range(len(schedule))]
+    shares = exp.offline_shares(dataset, schedule)
+    assert rows.index(max(rows)) in shares[0]  # the longest batch opens share 0
+    loads = [sum(rows[t] for t in share) for share in shares]
+    assert max(loads) - min(loads) <= max(rows)
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but cannot be rebuilt from its single stored argument."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
+
+
+def child_failure(kind):
+    """A fit_offline stand-in for the forked share only."""
+    if kind == "raise":
+        raise ValueError("child share failed")
+    if kind == "signal":
+        os.kill(os.getpid(), signal.SIGKILL)
+    if kind == "local":
+        class LocalError(Exception):
+            pass
+        raise LocalError("cannot be pickled")
+    raise NeedsTwoArguments("x", "y")
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("raise", ValueError, "child share failed"),
+    ("signal", RuntimeError, "exit status -9 (signal SIGKILL)"),
+    ("local", RuntimeError, "LocalError('cannot be pickled')"),
+    ("two-args", RuntimeError, "NeedsTwoArguments('x-y')"),
+])
+def test_a_failed_child_share_raises_in_the_parent(monkeypatch, kind, error, message):
+    config, dataset, schedule, seed = share_inputs("criterion-9")
+    report_cpus(monkeypatch, 2)
+    parent, real = os.getpid(), exp.fit_offline
+
+    def fit(*args):
+        if os.getpid() != parent:
+            child_failure(kind)
+        return real(*args)
+
+    monkeypatch.setattr(exp, "fit_offline", fit)
+    with pytest.raises(error) as info:
+        exp.run_offline_reference(config, dataset, schedule, seed)
+    assert message in str(info.value)
+    assert_no_child_left()
+
+
+def test_a_failed_own_share_still_waits_for_the_child(monkeypatch):
+    config, dataset, schedule, seed = share_inputs("criterion-9")
+    report_cpus(monkeypatch, 2)
+    parent, real = os.getpid(), exp.fit_offline
+
+    def fit(*args):
+        if os.getpid() == parent:
+            raise ValueError("own share failed")
+        time.sleep(0.2)  # the child is still running when the parent raises
+        return real(*args)
+
+    monkeypatch.setattr(exp, "fit_offline", fit)
+    with pytest.raises(ValueError, match="own share failed"):
+        exp.run_offline_reference(config, dataset, schedule, seed)
+    assert_no_child_left()

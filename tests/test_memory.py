@@ -102,8 +102,8 @@ def test_bootstrap_creates_first_centroid():
     (c,) = mem.centroids[1]
     assert c.label == 1
     assert c.count == 1
-    assert len(c.buffer) == 1
-    assert len(c.window) == 1
+    assert len(c.buffer.items) == 1
+    assert len(c.window.entries) == 1
     assert c.window.entries[0].label == 1
 
 
@@ -115,8 +115,8 @@ def test_same_label_update_moves_running_mean():
     (c,) = mem.centroids[1]
     assert c.count == 2
     assert np.allclose(c.mean, [0.05])
-    assert len(c.buffer) == 2
-    assert len(c.window) == 2
+    assert len(c.buffer.items) == 2
+    assert len(c.window.entries) == 2
 
 
 def test_far_instance_near_opposite_class_creates_new_centroid():
@@ -318,7 +318,7 @@ def test_apply_switch_purges_old_label_buffer():
     mem, c = memory_with_window([0.0], [([1.0], 0)] * 60)
     for _ in range(99):
         c.buffer.add(inst([0.0], 1), np.random.default_rng(0))
-    assert len(c.buffer) == 100
+    assert len(c.buffer.items) == 100
     assert [e.kind for e in mem.maintenance([c])] == ["switched"]
     assert all(i.label == 0 for i in c.buffer.items)
 
@@ -387,7 +387,7 @@ def test_apply_split_grouped_means():
     assert np.allclose(born.mean, [10.0]) and born.count == 5
     assert all(i.label == 1 for i in kept.buffer.items)
     assert all(i.label == 0 for i in born.buffer.items)
-    assert len(kept.window) + len(born.window) == 11
+    assert len(kept.window.entries) + len(born.window.entries) == 11
     assert born in mem.centroids[0]
 
 
@@ -542,11 +542,11 @@ def assert_memory_invariants(mem, events=(), before=None):
         for c in group:
             assert c.label == label
             assert all(i.label == c.label for i in c.buffer.items)
-            assert len(c.window) <= cfg.omega_max
+            assert len(c.window.entries) <= cfg.omega_max
             assert c.window.entries.counts == Counter(e.label for e in c.window.entries)
             top = [n for _, n in c.window.ranked()[:2]] + [0, 0]
             assert c.window.top_two_counts() == (top[0], top[1])
-            assert len(c.buffer) <= cfg.b_max
+            assert len(c.buffer.items) <= cfg.b_max
             ids.append(c.id)
     assert len(ids) == len(set(ids))
     for e in events:
@@ -591,7 +591,7 @@ def test_window_is_fifo_with_capacity():
     w = SlidingWindow(3)
     for i in range(5):
         w.push(inst([float(i)], i % 2))
-    assert len(w) == 3
+    assert len(w.entries) == 3
     assert [float(e.features[0]) for e in w.entries] == [2.0, 3.0, 4.0]
     assert w.cumulative_updates == 5
 
@@ -668,7 +668,7 @@ def test_buffer_reservoir_respects_capacity():
     buf = CentroidBuffer(10)
     for i in range(1000):
         buf.add(inst([float(i)], 1), rng)
-    assert len(buf) == 10
+    assert len(buf.items) == 10
     assert buf.seen == 1000
     # every kept item was actually streamed
     assert all(0 <= i.features[0] < 1000 for i in buf.items)
