@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -236,10 +235,9 @@ def _join(pid: int, read_fd: int) -> tuple[bool, object]:
     with os.fdopen(read_fd, "rb") as pipe:
         data = pipe.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        how = f" (signal {signal.Signals(-code).name})" if code < 0 else ""
+    if code != 0:  # a status of -N means signal N ended the child
         return False, RuntimeError(f"offline share in process {pid} sent no result: "
-                                   f"exit status {code}{how}")
+                                   f"exit status {code}")
     return pickle.loads(data)
 
 

@@ -298,7 +298,7 @@ def child_failure(kind):
 
 @pytest.mark.parametrize("kind, error, message", [
     ("raise", ValueError, "child share failed"),
-    ("signal", RuntimeError, "exit status -9 (signal SIGKILL)"),
+    ("signal", RuntimeError, f"exit status {-signal.SIGKILL}"),
     ("local", RuntimeError, "LocalError('cannot be pickled')"),
     ("two-args", RuntimeError, "NeedsTwoArguments('x-y')"),
 ])
