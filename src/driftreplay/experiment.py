@@ -13,7 +13,7 @@ import numpy as np
 from .baselines import ClassBuffer, StaticCentroidMemory
 from .evaluation import MetricsRecord, emit_report, evaluate_batch, omega_all
 from .learner import ClassifierSpec, MlpClassifier, fit_batch, fit_offline
-from .memory import LabeledInstance, RsbConfig, RsbMemory
+from .memory import RsbConfig, RsbMemory
 from .streams import (
     FeatureFileError,
     GaussianStreamSpec,
@@ -24,7 +24,8 @@ from .streams import (
     load_features,
     load_schedule,
     next_batch,
-    slice_rows,
+    presented_masks,
+    presented_rows,
     warmup_instances,
 )
 
@@ -145,35 +146,16 @@ def _make_memory(method: str, config: ExperimentConfig, rng):
     return None
 
 
-def _presented_masks(schedule, dataset, t: int) -> dict:
-    """Per subconcept, a mask of the training rows presented up to batch t."""
-    masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
-             for sid in dataset.subconcept_ids}
-    # slice_rows returns a view, so these assignments mark rows in the masks
-    for sid in schedule.warmup_subconcepts:
-        slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
-    for e in schedule.entries[:t + 1]:
-        slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
-    return masks
-
-
 def offline_batches(config: ExperimentConfig, dataset, schedule, seed: int, batches):
     """(accuracy, per-subconcept accuracy) of the offline reference at each
-    batch t in ``batches``, each retrained from scratch on everything
-    presented up to t.
-
-    Re-presented data is deduplicated per subconcept and relabeled to the
-    current ground truth before retraining. Each batch depends only on t.
+    batch t in ``batches``, each retrained from scratch on the rows
+    ``presented_rows`` gives for t. Each batch depends only on t.
     """
     spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
     out = []
     for t in batches:
-        masks = _presented_masks(schedule, dataset, t)
-        instances = []
-        for sid, label in schedule.current_label_map(t).items():
-            block = dataset.train(sid)[masks[sid]]
-            instances.extend(LabeledInstance(row, label, sid) for row in block)
-        model = fit_offline(spec, instances, rng_for(seed, "offline", str(t)))
+        X, y = presented_rows(schedule, dataset, t)
+        model = fit_offline(spec, X, y, rng_for(seed, "offline", str(t)))
         out.append(evaluate_batch(model.predict_labels, eval_pool(schedule, dataset, t)))
     return out
 
@@ -187,7 +169,7 @@ def offline_shares(dataset, schedule) -> list[list[int]]:
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     n = max(1, min(cpus, len(schedule)))
-    rows = [sum(int(m.sum()) for m in _presented_masks(schedule, dataset, t).values())
+    rows = [sum(map(np.count_nonzero, presented_masks(schedule, dataset, t).values()))
             for t in range(len(schedule))]
     shares, load = [[] for _ in range(n)], [0] * n
     for t in sorted(range(len(rows)), key=lambda t: (-rows[t], t)):

@@ -196,12 +196,19 @@ def fit_batch(model: MlpClassifier, batch, memory=None,
         for inst in batch:
             memory.ingest(inst)
     X, y = _to_arrays(batch)
+    return _train_epochs(model, X, y, memory, rng, batch_index)
+
+
+def _train_epochs(model: MlpClassifier, X, y, memory, rng: np.random.Generator,
+                  batch_index: int = 0) -> TrainRecord:
+    """The epochs of one batch: each shuffles the rows and steps through
+    them in minibatches, each topped up with replay when there is a memory."""
     spec = model.spec
-    record = TrainRecord(batch_index, instances_consumed=len(batch))
+    record = TrainRecord(batch_index, instances_consumed=len(X))
     for _ in range(spec.epochs_per_batch):
-        order = rng.permutation(len(batch))
+        order = rng.permutation(len(X))
         losses = []
-        for start in range(0, len(batch), spec.minibatch_size):
+        for start in range(0, len(X), spec.minibatch_size):
             idx = order[start:start + spec.minibatch_size]
             bx, by = X[idx], y[idx]
             if memory is not None:
@@ -216,13 +223,12 @@ def fit_batch(model: MlpClassifier, batch, memory=None,
     return record
 
 
-def fit_offline(spec: ClassifierSpec, instances, rng: np.random.Generator | None = None) -> MlpClassifier:
-    """Train a fresh model from scratch on everything presented so far."""
-    if not instances:
-        raise ValueError("need at least one instance")
-    rng = rng if rng is not None else np.random.default_rng(0)
+def fit_offline(spec: ClassifierSpec, X, y, rng: np.random.Generator) -> MlpClassifier:
+    """Train a fresh model from scratch on the rows X with labels y."""
+    if not len(X):
+        raise ValueError("need at least one row")
     model = MlpClassifier(spec, rng)
-    fit_batch(model, list(instances), rng=rng)
+    _train_epochs(model, X, y, None, rng)
     return model
 
 

@@ -99,58 +99,38 @@ class RsbConfig:
         return self.alpha_r * self.omega_max
 
 
-class LabelCountedDeque(deque):
-    """Bounded deque of instances with a label -> count tally kept in step.
-
-    Only ``append`` (with its oldest-first eviction at ``maxlen``) and
-    ``clear`` keep the tally; windows use no other mutator. Copies and
-    pickles are rebuilt through the constructor, so their tally is fresh.
-    """
-
-    def __init__(self, iterable=(), maxlen: int | None = None):
-        super().__init__(maxlen=maxlen)
-        self.counts: dict[int, int] = {}
-        for instance in iterable:
-            self.append(instance)
-
-    def __reduce__(self):
-        return type(self), (list(self), self.maxlen)
-
-    def append(self, instance: LabeledInstance):
-        if len(self) == self.maxlen:
-            old = self[0].label
-            self.counts[old] -= 1
-            if not self.counts[old]:
-                del self.counts[old]
-        super().append(instance)
-        self.counts[instance.label] = self.counts.get(instance.label, 0) + 1
-
-    def clear(self):
-        super().clear()
-        self.counts.clear()
-
-
 class SlidingWindow:
-    """Bounded FIFO of recent instances; eviction is strictly oldest-first."""
+    """Bounded FIFO of recent instances; eviction is strictly oldest-first.
+
+    ``counts`` tallies the labels of ``entries`` (label -> count, no zero
+    counts). ``push`` is the only mutator, so it keeps the tally in step.
+    """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError("window capacity must be positive")
         self.capacity = capacity
-        self.entries = LabelCountedDeque(maxlen=capacity)
+        self.entries = deque(maxlen=capacity)
+        self.counts: dict[int, int] = {}
         self.cumulative_updates = 0
 
     def push(self, instance: LabeledInstance):
+        if len(self.entries) == self.capacity:
+            old = self.entries[0].label
+            self.counts[old] -= 1
+            if not self.counts[old]:
+                del self.counts[old]
         self.entries.append(instance)
+        self.counts[instance.label] = self.counts.get(instance.label, 0) + 1
         self.cumulative_updates += 1
 
     def ranked(self) -> list[tuple[int, int]]:
         """(label, count) pairs, most numerous first; ties go to the lower label."""
-        return sorted(self.entries.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        return sorted(self.counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def top_two_counts(self) -> tuple[int, int]:
         """Counts of the two most numerous labels; second is 0 if the window is pure."""
-        counts = sorted(self.entries.counts.values(), reverse=True) + [0, 0]
+        counts = sorted(self.counts.values(), reverse=True) + [0, 0]
         return counts[0], counts[1]
 
 

@@ -129,6 +129,8 @@ def build_drift_schedule(n_subconcepts: int = 10, n_batches: int = DEFAULT_DRIFT
     """
     if n_subconcepts < 2:
         raise ScheduleError("need at least 2 subconcepts")
+    if n_batches < 1:
+        raise ScheduleError(f"need at least 1 batch, got {n_batches}")
     if drift_episodes is None:
         drift_episodes = [(s, c) for s, c in DEFAULT_DRIFT_EPISODES if c < n_subconcepts]
     episode_at = {}
@@ -271,13 +273,6 @@ def load_features(path) -> SubconceptDataset:
     return SubconceptDataset(dim, parts)
 
 
-def save_schedule(schedule: StreamSchedule, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in schedule.entries:
-            fh.write(f"{e.batch_index},{e.subconcept_id},{e.label},{e.kind},"
-                     f"{e.slice_start},{e.slice_end}\n")
-
-
 def load_schedule(path, n_subconcepts: int) -> StreamSchedule:
     entries = []
     with _open_input(path, ScheduleError) as fh:
@@ -342,6 +337,31 @@ class EvalPool:
 def eval_pool(schedule: StreamSchedule, dataset: SubconceptDataset, t: int) -> EvalPool:
     return EvalPool([(sid, dataset.test(sid), label)
                      for sid, label in schedule.current_label_map(t).items()])
+
+
+def presented_masks(schedule: StreamSchedule, dataset: SubconceptDataset,
+                    t: int) -> dict[int, np.ndarray]:
+    """Per subconcept seen up to batch t, a mask of its training rows
+    presented by then: the warm-up slice and every entry's slice."""
+    masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
+             for sid in schedule.current_label_map(t)}
+    # slice_rows returns a view, so these assignments mark rows in the masks
+    for sid in schedule.warmup_subconcepts:
+        slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
+    for e in schedule.entries[:t + 1]:
+        slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
+    return masks
+
+
+def presented_rows(schedule: StreamSchedule, dataset: SubconceptDataset, t: int):
+    """(X, y): every training row presented up to batch t, each once, under
+    its subconcept's current label, in ascending subconcept and row order."""
+    masks = presented_masks(schedule, dataset, t)
+    labels = schedule.current_label_map(t)
+    X = np.concatenate([dataset.train(sid)[mask] for sid, mask in masks.items()])
+    y = np.concatenate([np.full(np.count_nonzero(mask), labels[sid], dtype=np.int64)
+                        for sid, mask in masks.items()])
+    return X, y
 
 
 def next_batch(schedule: StreamSchedule, dataset: SubconceptDataset, t: int,

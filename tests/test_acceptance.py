@@ -151,7 +151,7 @@ def test_criterion_5_purity_monte_carlo():
     included = sum(len(sample_replay(mem, rng)) for _ in range(10_000))
     freq = included / 10_000
     (c,) = mem.centroids[1]
-    c.window.entries.clear()
+    c.window = SlidingWindow(c.window.capacity)
     for _ in range(50):
         c.window.push(inst([0.0], 0))
         c.window.push(inst([0.0], 1))

@@ -238,7 +238,9 @@ def test_bad_input_file_is_one_error_line_naming_the_file(case, tmp_path, capsys
 
 @pytest.mark.parametrize("flags", [["--dim", "0"], ["--hidden-sizes", "0"], ["--std", "-1"],
                                    ["--epochs-per-batch", "0"], ["--train-per", "0"],
-                                   ["--schedule", "weekly"], ["--config", "schedule=bogus"]])
+                                   ["--schedule", "weekly"], ["--config", "schedule=bogus"],
+                                   ["--schedule", "drift", "--drift-batches", "0"],
+                                   ["--schedule", "drift", "--drift-batches", "-1"]])
 def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     if flags[0] == "--config":
         flags = ["--config", write(tmp_path / "b.cfg", flags[1] + "\n")]
@@ -247,6 +249,16 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_run_refuses_a_drift_schedule_without_batches(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", *FAST, "--schedule", "drift", "--drift-batches", "0", "--methods", "nn",
+              "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: need at least 1 batch, got 0"]
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "validate"])

@@ -23,7 +23,7 @@ from driftreplay.experiment import (
 from driftreplay.evaluation import evaluate_batch
 from driftreplay.learner import ClassifierSpec, fit_offline
 from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
-from driftreplay.streams import GaussianStreamSpec, eval_pool, slice_rows
+from driftreplay.streams import GaussianStreamSpec, eval_pool, presented_rows, slice_rows
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -176,17 +176,25 @@ def test_benchmark_trace_hooks_find_every_wrapped_name(monkeypatch):
     import spans
 
     tracer = spans.Tracer()
-    config = ExperimentConfig(methods=("sb", "cb0"), **FAST)
+    config = ExperimentConfig(methods=("rsb", "sb", "cb0"), **FAST)
     dataset, schedule = exp.build_inputs(config, 3)
     ones = [1.0] * len(schedule)
+    report_cpus(monkeypatch, 1)  # the whole offline reference runs in this process
     with spans.traced(tracer):
         for method in config.methods:
             exp.run_method(method, config, dataset, schedule, 3, ones,
                            [{} for _ in ones])
-    assert tracer.counts["baselines.sb_ingest.n"] > 0
-    assert tracer.counts["baselines.cb_ingest.n"] > 0
-    assert tracer.counts["baselines.cb_sample.n"] > 0
+        exp.run_offline_reference(config, dataset, schedule, 3)
+    counts = tracer.counts
+    assert counts["baselines.sb_ingest.n"] > 0
+    assert counts["baselines.cb_ingest.n"] > 0
+    assert counts["baselines.cb_sample.n"] > 0
+    assert counts["memory.window.push.n"] > 0
+    assert counts["memory.window.top_two_counts.n"] > 0
+    assert counts["learner.fit_offline.rows"] == sum(
+        len(presented_rows(schedule, dataset, t)[1]) for t in range(len(schedule)))
     assert not hasattr(exp.next_batch, "__wrapped__")  # the originals are restored
+    assert not hasattr(exp.fit_offline, "__wrapped__")
 
 
 # ------------------------------------------------- offline reference shares
@@ -201,14 +209,13 @@ SHARE_CONFIGS = {
 }
 
 
-def incremental_offline_reference(config, dataset, schedule, seed):
-    """The offline reference as one loop whose row masks grow batch by batch."""
-    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
+def incremental_presented(dataset, schedule):
+    """Per batch, one LabeledInstance per training row presented so far,
+    from one set of row masks that grows batch by batch."""
     masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
              for sid in dataset.subconcept_ids}
     for sid in schedule.warmup_subconcepts:
         slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
-    alphas, per_sub = [], []
     for t in range(len(schedule)):
         e = schedule.entry(t)
         slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
@@ -216,7 +223,17 @@ def incremental_offline_reference(config, dataset, schedule, seed):
         for sid, label in schedule.current_label_map(t).items():
             block = dataset.train(sid)[masks[sid]]
             instances.extend(LabeledInstance(row, label, sid) for row in block)
-        model = fit_offline(spec, instances, rng_for(seed, "offline", str(t)))
+        yield instances
+
+
+def incremental_offline_reference(config, dataset, schedule, seed):
+    """The offline reference as one loop over the incremental row masks."""
+    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
+    alphas, per_sub = [], []
+    for t, instances in enumerate(incremental_presented(dataset, schedule)):
+        X = np.array([inst.features for inst in instances])
+        y = np.array([inst.label for inst in instances], dtype=np.int64)
+        model = fit_offline(spec, X, y, rng_for(seed, "offline", str(t)))
         a, ps = evaluate_batch(model.predict_labels, eval_pool(schedule, dataset, t))
         alphas.append(a)
         per_sub.append(ps)
@@ -252,6 +269,33 @@ def test_offline_reference_is_identical_on_any_cpu_count(monkeypatch, name):
         assert_no_child_left()
 
 
+def labels_by_row(schedule, dataset, t):
+    X, y = presented_rows(schedule, dataset, t)
+    return {row.tobytes(): int(label) for row, label in zip(X, y)}
+
+
+@pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
+def test_presented_rows_match_the_incremental_masks(name):
+    _, dataset, schedule, _ = share_inputs(name)
+    drifted = 0
+    for t, instances in enumerate(incremental_presented(dataset, schedule)):
+        X, y = presented_rows(schedule, dataset, t)
+        assert X.shape == (len(instances), dataset.dim) and y.dtype == np.int64
+        assert X.tobytes() == np.array([inst.features for inst in instances]).tobytes()
+        assert y.tolist() == [inst.label for inst in instances]
+        label_of = labels_by_row(schedule, dataset, t)
+        assert len(label_of) == len(X)  # each row once
+        e = schedule.entry(t)
+        if e.kind == "drift":
+            # an episode's first half slices from 0; before it, its rows had the old label
+            before = labels_by_row(schedule, dataset, t - 1 if e.slice_start == 0.0 else t - 2)
+            for row in slice_rows(dataset.train(e.subconcept_id), e.slice_start, e.slice_end):
+                assert before[row.tobytes()] == 1 - e.label
+                assert label_of[row.tobytes()] == e.label
+            drifted += 1
+    assert drifted or name == "criterion-9"  # criterion 9's stream is stationary
+
+
 @pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
 def test_offline_shares_cover_every_batch_once_and_are_static(monkeypatch, name):
     _, dataset, schedule, _ = share_inputs(name)
@@ -268,8 +312,7 @@ def test_offline_shares_cover_every_batch_once_and_are_static(monkeypatch, name)
 def test_offline_shares_go_longest_first_to_the_least_loaded(monkeypatch, cpus):
     _, dataset, schedule, _ = share_inputs("tiny-drift")
     report_cpus(monkeypatch, cpus)
-    rows = [sum(int(m.sum()) for m in exp._presented_masks(schedule, dataset, t).values())
-            for t in range(len(schedule))]
+    rows = [len(presented_rows(schedule, dataset, t)[1]) for t in range(len(schedule))]
     shares = exp.offline_shares(dataset, schedule)
     assert rows.index(max(rows)) in shares[0]  # the longest batch opens share 0
     loads = [sum(rows[t] for t in share) for share in shares]

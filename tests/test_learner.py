@@ -146,14 +146,26 @@ def test_fit_batch_rejects_empty_batch():
 
 def test_fit_offline_learns_and_is_deterministic():
     rng = np.random.default_rng(10)
-    batch, X, y = separable_batch(rng)
+    _, X, y = separable_batch(rng)
     spec = ClassifierSpec(input_dim=8, **SMALL)
-    m1 = fit_offline(spec, batch, np.random.default_rng(3))
-    m2 = fit_offline(spec, batch, np.random.default_rng(3))
+    m1 = fit_offline(spec, X, y, np.random.default_rng(3))
+    m2 = fit_offline(spec, X, y, np.random.default_rng(3))
     assert (m1.predict_labels(X) == y).mean() >= 0.95
     assert all(np.array_equal(a, b) for a, b in zip(m1.W, m2.W))
     with pytest.raises(ValueError):
-        fit_offline(spec, [])
+        fit_offline(spec, np.empty((0, 8)), np.empty(0, dtype=np.int64),
+                    np.random.default_rng(3))
+
+
+def test_fit_offline_trains_as_fit_batch_does_on_a_fresh_model():
+    # the same epoch loop on the same rows, drawing the same numbers in order
+    batch, X, y = separable_batch(np.random.default_rng(11), n=70)
+    spec = ClassifierSpec(input_dim=8, **SMALL)
+    rng = np.random.default_rng(4)
+    fresh = MlpClassifier(spec, rng)
+    fit_batch(fresh, batch, rng=rng)
+    offline = fit_offline(spec, X, y, np.random.default_rng(4))
+    assert offline._theta.tobytes() == fresh._theta.tobytes()
 
 
 # ------------------------------------------------- flat layout and optimizer

@@ -543,7 +543,7 @@ def assert_memory_invariants(mem, events=(), before=None):
             assert c.label == label
             assert all(i.label == c.label for i in c.buffer.items)
             assert len(c.window.entries) <= cfg.omega_max
-            assert c.window.entries.counts == Counter(e.label for e in c.window.entries)
+            assert c.window.counts == Counter(e.label for e in c.window.entries)
             top = [n for _, n in c.window.ranked()[:2]] + [0, 0]
             assert c.window.top_two_counts() == (top[0], top[1])
             assert len(c.buffer.items) <= cfg.b_max
@@ -606,22 +606,21 @@ def test_window_top_two_and_majority():
     assert w.ranked()[0][0] == 0  # tie breaks to the lower label
 
 
-def test_window_label_counts_follow_pushes_evictions_and_clear():
+def test_window_label_counts_follow_pushes_and_evictions():
     rng = np.random.default_rng(13)
     w = SlidingWindow(7)
     for _ in range(60):
         w.push(inst([0.0], int(rng.integers(3))))
-        assert w.entries.counts == Counter(e.label for e in w.entries)
-    w.entries.clear()
-    assert w.entries.counts == {} and w.ranked() == [] and w.top_two_counts() == (0, 0)
+        assert w.counts == Counter(e.label for e in w.entries)
+    w = SlidingWindow(7)
+    assert w.counts == {} and w.ranked() == [] and w.top_two_counts() == (0, 0)
     for y in (2, 2, 0):
         w.push(inst([0.0], y))
-    assert w.entries.counts == Counter(e.label for e in w.entries)
+    assert w.counts == Counter(e.label for e in w.entries)
     assert w.ranked() == [(2, 2), (0, 1)]
 
 
 ROUND_TRIPS = {
-    "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda obj: pickle.loads(pickle.dumps(obj)),
 }
@@ -639,12 +638,16 @@ def flip_memory():
 def test_window_entries_copy_with_a_fresh_tally(trip):
     mem, _ = flip_memory()
     for c in mem.all_centroids():
-        entries = c.window.entries
-        twin = ROUND_TRIPS[trip](entries)
-        assert type(twin) is type(entries) and twin.maxlen == entries.maxlen
-        assert [e.label for e in twin] == [e.label for e in entries]
-        assert twin.counts == Counter(e.label for e in twin) == entries.counts
-        assert twin.counts is not entries.counts
+        w = c.window
+        twin = ROUND_TRIPS[trip](w)
+        assert twin.entries.maxlen == w.entries.maxlen == twin.capacity == w.capacity
+        assert [e.label for e in twin.entries] == [e.label for e in w.entries]
+        assert twin.counts == Counter(e.label for e in twin.entries) == w.counts
+        assert twin.entries is not w.entries and twin.counts is not w.counts
+        before = dict(w.counts)
+        for _ in range(w.capacity):  # evicts every copied entry from the twin only
+            twin.push(inst([0.0], 7))
+        assert twin.counts == {7: w.capacity} and w.counts == before
 
 
 @pytest.mark.parametrize("trip", ["deepcopy", "pickle"])
@@ -653,7 +656,7 @@ def test_a_copied_memory_ingests_like_the_original(trip):
     twin = ROUND_TRIPS[trip](mem)
     for m in (mem, twin):
         for c in m.all_centroids():
-            assert c.window.entries.counts == Counter(e.label for e in c.window.entries)
+            assert c.window.counts == Counter(e.label for e in c.window.entries)
     rest = [next(stream) for _ in range(200)]
     ours = [(e.kind, e.centroid_id, e.label) for i in rest for e in mem.ingest(i)]
     theirs = [(e.kind, e.centroid_id, e.label)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftreplay.baselines import ClassBuffer
-from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
+from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory, SlidingWindow
 from driftreplay.replay import oversample_balance, purity, sample_replay
 
 
@@ -50,7 +50,7 @@ def test_pure_centroid_inclusion_frequency():
 def test_balanced_centroid_is_never_sampled():
     mem = pure_memory()
     (c,) = mem.centroids[1]
-    c.window.entries.clear()
+    c.window = SlidingWindow(c.window.capacity)
     for i in range(50):
         c.window.push(inst([0.0], 0))
         c.window.push(inst([0.0], 1))

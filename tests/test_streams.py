@@ -24,7 +24,6 @@ from driftreplay.streams import (
     load_schedule,
     next_batch,
     save_features,
-    save_schedule,
     warmup_instances,
 )
 
@@ -153,6 +152,12 @@ def test_schedule_rejects_label_change_outside_drift():
         StreamSchedule(entries, 2)
 
 
+@pytest.mark.parametrize("n_batches", [0, -1])
+def test_drift_schedule_without_batches_rejected(n_batches):
+    with pytest.raises(ScheduleError, match="at least 1 batch"):
+        build_drift_schedule(10, n_batches)
+
+
 def test_overlapping_drift_episodes_rejected():
     with pytest.raises(ScheduleError):
         build_drift_schedule(10, 30, drift_episodes=[(4, 0), (5, 2)])
@@ -270,7 +275,8 @@ def test_feature_file_header_and_split_errors(tmp_path):
 def test_schedule_file_round_trip(tmp_path):
     sched = build_drift_schedule()
     path = tmp_path / "schedule.txt"
-    save_schedule(sched, path)
+    path.write_text("".join(f"{e.batch_index},{e.subconcept_id},{e.label},{e.kind},"
+                            f"{e.slice_start},{e.slice_end}\n" for e in sched.entries))
     back = load_schedule(path, 10)
     assert back.entries == sched.entries
     assert len(back) == len(sched)
