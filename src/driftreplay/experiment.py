@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import struct
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -12,7 +13,15 @@ import numpy as np
 
 from .baselines import ClassBuffer, StaticCentroidMemory
 from .evaluation import MetricsRecord, emit_report, evaluate_batch, omega_all
-from .learner import ClassifierSpec, MlpClassifier, fit_batch, fit_offline
+from .learner import (
+    ClassifierSpec,
+    MlpClassifier,
+    TrainRecord,
+    fit_offline,
+    ingest_batch,
+    minibatches,
+    train_epochs,
+)
 from .memory import RsbConfig, RsbMemory
 from .streams import (
     FeatureFileError,
@@ -31,6 +40,21 @@ from .streams import (
 
 KNOWN_METHODS = ("rsb", "sb", "cb0", "cb1", "nn", "offline")
 SCHEDULES = ("stationary", "drift")
+# Cells whose learner runs in a forked child fed by a pipe when a second CPU
+# is available. Their centroid memories give the calling process enough
+# ingest and replay work to overlap with the learner; the other cells' data
+# side is a few milliseconds, so for them a pipe would only add copying.
+PIPED_METHODS = ("rsb", "sb")
+# Each batch goes down a learner pipe as a (t, n_rows, 0) header, one
+# (epoch, rows, cols) header per minibatch followed by its rows * cols
+# float64 features and rows int64 labels, and an all-zero header. A
+# minibatch has at least one row, so rows == 0 ends the batch.
+_HEADER = struct.Struct("=3q")
+_END_OF_BATCH = _HEADER.pack(0, 0, 0)
+# Bytes a learner pipe asks to hold (Linux's limit for unprivileged users),
+# about a batch of minibatches, so the calling process seldom waits for the
+# child to read.
+_PIPE_BYTES = 1 << 20
 
 
 @dataclass
@@ -89,7 +113,8 @@ class ExperimentConfig:
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         # each spec validates its own block of parameters
         self.spec(RsbConfig)
-        self.spec(GaussianStreamSpec)
+        if not self.dataset.startswith("file:"):  # a feature file brings its own data
+            self.spec(GaussianStreamSpec)
         self.spec(ClassifierSpec, input_dim=self.dim)
 
     def spec(self, cls, **given):
@@ -160,6 +185,10 @@ def offline_batches(config: ExperimentConfig, dataset, schedule, seed: int, batc
     return out
 
 
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def offline_shares(dataset, schedule) -> list[list[int]]:
     """The schedule's batches split into one share per available CPU.
 
@@ -167,8 +196,7 @@ def offline_shares(dataset, schedule) -> list[list[int]]:
     share; ties go to the lower batch and the lower share. The split
     depends only on the inputs and the CPU count, never on timing.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = max(1, min(cpus, len(schedule)))
+    n = max(1, min(_cpus(), len(schedule)))
     rows = [sum(map(np.count_nonzero, presented_masks(schedule, dataset, t).values()))
             for t in range(len(schedule))]
     shares, load = [[] for _ in range(n)], [0] * n
@@ -212,13 +240,14 @@ def _fork(work) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _join(pid: int, read_fd: int) -> tuple[bool, object]:
-    """Read a forked child's outcome, then reap it."""
+def _join(pid: int, read_fd: int, job: str) -> tuple[bool, object]:
+    """Read a forked child's outcome, then reap it; ``job`` names its work
+    in the error of a child that died."""
     with os.fdopen(read_fd, "rb") as pipe:
         data = pipe.read()
     code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if code != 0:  # a status of -N means signal N ended the child
-        return False, RuntimeError(f"offline share in process {pid} sent no result: "
+        return False, RuntimeError(f"{job} in process {pid} sent no result: "
                                    f"exit status {code}")
     return pickle.loads(data)
 
@@ -240,7 +269,7 @@ def run_offline_reference(config: ExperimentConfig, dataset, schedule, seed: int
                 lambda share=share: offline_batches(config, dataset, schedule, seed, share)))
         results = dict(zip(own, offline_batches(config, dataset, schedule, seed, own)))
     finally:
-        outcomes = [_join(pid, fd) for pid, fd in children]
+        outcomes = [_join(pid, fd, "offline share") for pid, fd in children]
     for share, (ok, value) in zip(others, outcomes):
         if not ok:
             raise value
@@ -249,36 +278,158 @@ def run_offline_reference(config: ExperimentConfig, dataset, schedule, seed: int
     return [a for a, _ in ordered], [ps for _, ps in ordered]
 
 
+def _new_model(method: str, config: ExperimentConfig, dataset, seed: int) -> MlpClassifier:
+    return MlpClassifier(config.spec(ClassifierSpec, input_dim=dataset.dim),
+                         rng_for(seed, method, "init"))
+
+
+def _cell_batches(method: str, config: ExperimentConfig, dataset, schedule, seed: int):
+    """The stream side of a method cell, one batch at a time.
+
+    For the warm-up (t = -1), if there is one, and then each batch t, the
+    memory ingests the batch and ``(t, n_rows, minibatches)`` is yielded;
+    the minibatches draw their replay as they are consumed. Nothing here
+    reads the model.
+    """
+    sched_rng = rng_for(seed, "schedule")
+    train_rng = rng_for(seed, method, "learner")
+    memory = _make_memory(method, config, rng_for(seed, method, "memory"))
+    spec = config.spec(ClassifierSpec, input_dim=dataset.dim)
+
+    def ingested(t, instances):
+        X, y = ingest_batch(instances, memory)
+        return t, len(X), minibatches(X, y, memory, train_rng, spec)
+
+    warm = warmup_instances(schedule, dataset)
+    if warm:
+        yield ingested(-1, warm)
+    for t in range(len(schedule)):
+        instances, _ = next_batch(schedule, dataset, t, sched_rng)
+        yield ingested(t, instances)
+
+
+def _learn(model: MlpClassifier, cell, schedule, dataset):
+    """Train the model on each batch ``cell`` yields, evaluating it after
+    every batch but the warm-up; return the (accuracy, per-subconcept
+    accuracy) of each batch and the TrainRecord of each, warm-up included."""
+    evaluations, records = [], []
+    for t, n_rows, batches in cell:
+        records.append(TrainRecord.of(t, n_rows, *train_epochs(model, batches)))
+        if t >= 0:
+            evaluations.append(evaluate_batch(model.predict_labels,
+                                              eval_pool(schedule, dataset, t)))
+    return evaluations, records
+
+
+def _send(fd: int, *parts):
+    """Write all the bytes of ``parts`` (bytes or contiguous arrays) to fd."""
+    data = memoryview(b"".join(parts))
+    while data:
+        data = data[os.write(fd, data):]
+
+
+def _receive(pipe, shape, dtype) -> np.ndarray:
+    out = np.empty(shape, dtype)
+    if pipe.readinto(out) != out.nbytes:
+        raise EOFError("the learner pipe ended inside a minibatch")
+    return out
+
+
+def _received_minibatches(pipe):
+    while True:
+        epoch, rows, cols = _HEADER.unpack(pipe.read(_HEADER.size))
+        if not rows:  # the end of the batch
+            return
+        yield epoch, _receive(pipe, (rows, cols), np.float64), _receive(pipe, rows, np.int64)
+
+
+def _received_cell(pipe):
+    """What ``_learn_in_child`` sends, as ``_cell_batches`` yielded it."""
+    while head := pipe.read(_HEADER.size):
+        t, n_rows, _ = _HEADER.unpack(head)
+        yield t, n_rows, _received_minibatches(pipe)
+
+
+def _learn_from_pipe(read_fd: int, write_fd: int, method: str, config: ExperimentConfig,
+                     dataset, schedule, seed: int):
+    os.close(write_fd)  # so that the parent's close reaches this child as EOF
+    with open(read_fd, "rb") as pipe:
+        return _learn(_new_model(method, config, dataset, seed), _received_cell(pipe),
+                      schedule, dataset)
+
+
+def _learn_in_child(method: str, config: ExperimentConfig, dataset, schedule, seed: int):
+    """``_learn`` with the model in a forked child that trains and evaluates
+    what the calling process, which keeps every ingest and replay draw,
+    sends it through a pipe. The child is reaped before this returns or
+    raises; an error of the child is raised here as itself."""
+    import fcntl  # POSIX only, like os.fork
+
+    read_fd, write_fd = os.pipe()
+    try:
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    except (AttributeError, OSError):  # not Linux, or above the system's limit
+        pass
+    try:
+        pid, result_fd = _fork(lambda: _learn_from_pipe(read_fd, write_fd, method, config,
+                                                        dataset, schedule, seed))
+    except BaseException:
+        os.close(write_fd)
+        raise
+    finally:
+        os.close(read_fd)
+    try:
+        for t, n_rows, batches in _cell_batches(method, config, dataset, schedule, seed):
+            _send(write_fd, _HEADER.pack(t, n_rows, 0))
+            for epoch, bx, by in batches:
+                _send(write_fd, _HEADER.pack(epoch, *bx.shape), bx, by)
+            _send(write_fd, _END_OF_BATCH)
+    except BrokenPipeError:  # the child stopped reading; its outcome says why
+        pass
+    finally:
+        os.close(write_fd)
+        ok, value = _join(pid, result_fd, f"{method} learner")
+    if not ok:
+        raise value
+    return value
+
+
 def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: int,
                offline_alphas, offline_per_sub) -> MetricsRecord:
+    """One method's cell: the record of its accuracy after every batch.
+
+    With a second CPU, the learner of an ``rsb`` or ``sb`` cell runs in a
+    forked child (``_learn_in_child``); every other cell runs in the
+    calling process. Both give the same bytes.
+    """
     if method == "offline":
         return MetricsRecord("offline", seed, list(offline_alphas),
                              [dict(p) for p in offline_per_sub],
                              list(offline_alphas),
                              omega_all(offline_alphas, offline_alphas))
-    sched_rng = rng_for(seed, "schedule")
-    train_rng = rng_for(seed, method, "learner")
-    memory = _make_memory(method, config, rng_for(seed, method, "memory"))
-    model = MlpClassifier(config.spec(ClassifierSpec, input_dim=dataset.dim),
-                          rng_for(seed, method, "init"))
-    warm = warmup_instances(schedule, dataset)
-    if warm:
-        fit_batch(model, warm, memory, train_rng, batch_index=-1)
-    alphas, per_sub = [], []
-    for t in range(len(schedule)):
-        instances, pool = next_batch(schedule, dataset, t, sched_rng)
-        fit_batch(model, instances, memory, train_rng, batch_index=t)
-        a, ps = evaluate_batch(model.predict_labels, pool)
-        alphas.append(a)
-        per_sub.append(ps)
-    return MetricsRecord(method, seed, alphas, per_sub, list(offline_alphas),
-                         omega_all(alphas, offline_alphas))
+    if method in PIPED_METHODS and _cpus() >= 2:
+        evaluations, _ = _learn_in_child(method, config, dataset, schedule, seed)
+    else:
+        evaluations, _ = _learn(_new_model(method, config, dataset, seed),
+                                _cell_batches(method, config, dataset, schedule, seed),
+                                schedule, dataset)
+    alphas = [a for a, _ in evaluations]
+    return MetricsRecord(method, seed, alphas, [ps for _, ps in evaluations],
+                         list(offline_alphas), omega_all(alphas, offline_alphas))
 
 
 def run_seed(config: ExperimentConfig, seed: int):
-    """All methods for one seed; returns (records, failures)."""
+    """All methods for one seed; returns (records, failures).
+
+    Every cell needs the offline reference for its omega, so if the
+    reference fails, each requested cell of this seed fails with its cause.
+    """
     dataset, schedule = build_inputs(config, seed)
-    offline_alphas, offline_per_sub = run_offline_reference(config, dataset, schedule, seed)
+    try:
+        offline_alphas, offline_per_sub = run_offline_reference(config, dataset, schedule, seed)
+    except Exception as exc:  # a failed seed must not stop the next one
+        cause = f"{type(exc).__name__}: {exc}"
+        return [], {f"{method}/seed{seed}": cause for method in config.methods}
     records, failures = [], {}
     for method in config.methods:
         try:

@@ -45,6 +45,12 @@ class TrainRecord:
     instances_consumed: int = 0
     replay_consumed: int = 0
 
+    @classmethod
+    def of(cls, batch_index: int, n_rows: int, epoch_losses: list, rows_trained: int):
+        """The record of a batch of n_rows stream rows; each epoch presents
+        each of them once, so every other row trained was replay."""
+        return cls(batch_index, epoch_losses, n_rows, rows_trained - len(epoch_losses) * n_rows)
+
 
 def _softmax(z):
     """Row-wise softmax, computed in place over the two-column logits z.
@@ -182,6 +188,17 @@ def _to_arrays(batch):
     return X, y
 
 
+def ingest_batch(batch, memory=None):
+    """A stream batch as arrays (X, y), after the memory, if any, has
+    absorbed every raw instance exactly once."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    if memory is not None:
+        for inst in batch:
+            memory.ingest(inst)
+    return _to_arrays(batch)
+
+
 def fit_batch(model: MlpClassifier, batch, memory=None,
               rng: np.random.Generator | None = None, batch_index: int = 0) -> TrainRecord:
     """Train on one stream batch; with a memory, every minibatch gets replay.
@@ -189,25 +206,22 @@ def fit_batch(model: MlpClassifier, batch, memory=None,
     The memory absorbs every raw instance exactly once, before any
     gradient epoch runs.
     """
-    if not batch:
-        raise ValueError("batch must be non-empty")
     rng = rng if rng is not None else np.random.default_rng(0)
-    if memory is not None:
-        for inst in batch:
-            memory.ingest(inst)
-    X, y = _to_arrays(batch)
-    return _train_epochs(model, X, y, memory, rng, batch_index)
+    X, y = ingest_batch(batch, memory)
+    return TrainRecord.of(batch_index, len(X),
+                          *train_epochs(model, minibatches(X, y, memory, rng, model.spec)))
 
 
-def _train_epochs(model: MlpClassifier, X, y, memory, rng: np.random.Generator,
-                  batch_index: int = 0) -> TrainRecord:
-    """The epochs of one batch: each shuffles the rows and steps through
-    them in minibatches, each topped up with replay when there is a memory."""
-    spec = model.spec
-    record = TrainRecord(batch_index, instances_consumed=len(X))
-    for _ in range(spec.epochs_per_batch):
+def minibatches(X, y, memory, rng: np.random.Generator, spec: ClassifierSpec):
+    """Yield (epoch, bx, by) for every minibatch of one batch's epochs.
+
+    Each epoch shuffles the rows and steps through them in minibatches,
+    each topped up with replay when there is a memory. Every random draw
+    and every replay assembly happens here, in the order the minibatches
+    come out; none depends on a model, so they can be trained elsewhere.
+    """
+    for epoch in range(spec.epochs_per_batch):
         order = rng.permutation(len(X))
-        losses = []
         for start in range(0, len(X), spec.minibatch_size):
             idx = order[start:start + spec.minibatch_size]
             bx, by = X[idx], y[idx]
@@ -217,10 +231,18 @@ def _train_epochs(model: MlpClassifier, X, y, memory, rng: np.random.Generator,
                     ex, ey = _to_arrays(extra)
                     bx = np.concatenate([bx, ex])
                     by = np.concatenate([by, ey])
-                    record.replay_consumed += len(extra)
-            losses.append(model.train_minibatch(bx, by))
-        record.epoch_losses.append(float(np.mean(losses)))
-    return record
+            yield epoch, bx, by
+
+
+def train_epochs(model: MlpClassifier, batches) -> tuple[list, int]:
+    """Train on each (epoch, bx, by) of ``batches`` in order; return the
+    mean minibatch loss of each epoch and the number of rows trained."""
+    losses = {}
+    rows = 0
+    for epoch, bx, by in batches:
+        losses.setdefault(epoch, []).append(model.train_minibatch(bx, by))
+        rows += len(bx)
+    return [float(np.mean(ls)) for ls in losses.values()], rows
 
 
 def fit_offline(spec: ClassifierSpec, X, y, rng: np.random.Generator) -> MlpClassifier:
@@ -228,7 +250,7 @@ def fit_offline(spec: ClassifierSpec, X, y, rng: np.random.Generator) -> MlpClas
     if not len(X):
         raise ValueError("need at least one row")
     model = MlpClassifier(spec, rng)
-    _train_epochs(model, X, y, None, rng)
+    train_epochs(model, minibatches(X, y, None, rng, spec))
     return model
 
 

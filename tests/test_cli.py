@@ -362,3 +362,30 @@ def test_file_dataset_sizes_the_schedule(tmp_path, capsys):
     assert main(["run", *argv]) == 0
     lines = (tmp_path / "out" / "accuracy_seed1.csv").read_text().splitlines()
     assert len([r for r in lines[1:] if r.split(",")[3] == ""]) == 3  # one per subconcept
+
+
+def test_file_dataset_skips_the_synthetic_data_checks(tmp_path, capsys):
+    spec = write(tmp_path / "data.cfg", "n_subconcepts=2\ndim=2\ntrain_per=20\ntest_per=5\n")
+    features = tmp_path / "features.txt"
+    assert main(["gen-data", "--spec", spec, "--out", str(features)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--dataset", f"file:{features}", "--std", "-1"]) == 0
+    assert capsys.readouterr().out.startswith("config OK")
+    with pytest.raises(SystemExit) as exc:  # synthetic data still needs a positive std
+        main(["run", *FAST, "--std", "-1", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.strip() == "error: std and separation must be positive"
+    assert not (tmp_path / "x").exists()
+
+
+def test_a_diverging_offline_reference_fails_its_cells_without_a_traceback(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--schedule", "drift", "--learning-rate", "1e300",
+                 "--n-subconcepts", "2", "--dim", "2", "--train-per", "40", "--test-per", "10",
+                 "--hidden-sizes", "4", "--epochs-per-batch", "1", "--drift-batches", "3",
+                 "--methods", "nn", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["FAILED nn/seed1: TrainingDivergedError: "
+                                "non-finite training loss: nan"]
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -20,10 +20,24 @@ from driftreplay.experiment import (
     run_experiment,
     run_seed,
 )
+from driftreplay import learner
 from driftreplay.evaluation import evaluate_batch
-from driftreplay.learner import ClassifierSpec, fit_offline
-from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
-from driftreplay.streams import GaussianStreamSpec, eval_pool, presented_rows, slice_rows
+from driftreplay.learner import (
+    ClassifierSpec,
+    MlpClassifier,
+    TrainingDivergedError,
+    fit_batch,
+    fit_offline,
+)
+from driftreplay.memory import LabeledInstance, NonFiniteFeatureError, RsbConfig, RsbMemory
+from driftreplay.streams import (
+    GaussianStreamSpec,
+    eval_pool,
+    next_batch,
+    presented_rows,
+    slice_rows,
+    warmup_instances,
+)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -342,6 +356,7 @@ def child_failure(kind):
 @pytest.mark.parametrize("kind, error, message", [
     ("raise", ValueError, "child share failed"),
     ("signal", RuntimeError, f"exit status {-signal.SIGKILL}"),
+    ("signal", RuntimeError, "offline share in process "),
     ("local", RuntimeError, "LocalError('cannot be pickled')"),
     ("two-args", RuntimeError, "NeedsTwoArguments('x-y')"),
 ])
@@ -376,4 +391,165 @@ def test_a_failed_own_share_still_waits_for_the_child(monkeypatch):
     monkeypatch.setattr(exp, "fit_offline", fit)
     with pytest.raises(ValueError, match="own share failed"):
         exp.run_offline_reference(config, dataset, schedule, seed)
+    assert_no_child_left()
+
+
+# ------------------------------------------------------ a failed reference
+
+def test_a_failed_offline_reference_fails_only_its_seed(monkeypatch, tmp_path, capsys):
+    real_reference, real_fit = exp.run_offline_reference, exp.fit_offline
+
+    def diverges(*args):
+        raise TrainingDivergedError("non-finite training loss: nan")
+
+    def reference(config, dataset, schedule, seed):
+        with monkeypatch.context() as m:
+            if seed == 4:
+                m.setattr(exp, "fit_offline", diverges)
+            return real_reference(config, dataset, schedule, seed)
+
+    monkeypatch.setattr(exp, "run_offline_reference", reference)
+    methods = ("rsb", "nn", "offline")
+    both = tmp_path / "both"
+    config = ExperimentConfig(methods=methods, out_dir=str(both), **{**FAST, "seeds": (3, 4)})
+    assert run_experiment(config) == 3
+    assert exp.fit_offline is real_fit
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"FAILED {m}/seed4: TrainingDivergedError: non-finite training loss: nan"
+                   for m in sorted(methods)]
+    alone = tmp_path / "alone"
+    assert run_experiment(ExperimentConfig(methods=methods, out_dir=str(alone), **FAST)) == 0
+    assert sorted(p.name for p in both.iterdir()) == ["accuracy_seed3.csv", "summary.json"]
+    assert (both / "accuracy_seed3.csv").read_bytes() == (alone / "accuracy_seed3.csv").read_bytes()
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (both, alone)]
+    assert summaries[0]["omega_all"] == summaries[1]["omega_all"]
+    assert summaries[0]["seeds"] == [3]
+
+
+# ------------------------------------------------------- piped learner cells
+
+CELL_METHODS = ("rsb", "sb", "cb0", "nn")
+
+
+def cell_records(config, dataset, schedule, seed, methods=CELL_METHODS):
+    ones = [1.0] * len(schedule)
+    return [exp.run_method(m, config, dataset, schedule, seed, ones, [{} for _ in ones])
+            for m in methods]
+
+
+@pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
+def test_method_records_are_identical_on_any_cpu_count(monkeypatch, name):
+    config, dataset, schedule, seed = share_inputs(name)
+    by_cpus = {}
+    for cpus in (1, 2, 3, 64):
+        report_cpus(monkeypatch, cpus)
+        with monkeypatch.context() as m:
+            if cpus == 1:  # one CPU: every cell runs in the calling process
+                m.setattr(exp.os, "fork", None)
+            by_cpus[cpus] = repr(cell_records(config, dataset, schedule, seed))
+        assert_no_child_left()
+    assert by_cpus[2] == by_cpus[3] == by_cpus[64] == by_cpus[1]
+
+
+def test_piped_train_records_match_the_calling_process(monkeypatch):
+    config, dataset, schedule, seed = share_inputs("tiny-drift")
+    report_cpus(monkeypatch, 2)
+    piped = exp._learn_in_child("rsb", config, dataset, schedule, seed)
+    assert_no_child_left()
+    in_process = exp._learn(exp._new_model("rsb", config, dataset, seed),
+                            exp._cell_batches("rsb", config, dataset, schedule, seed),
+                            schedule, dataset)
+    assert repr(piped) == repr(in_process)
+    evaluations, records = piped
+    assert [r.batch_index for r in records] == [-1, *range(len(schedule))]
+    assert len(evaluations) == len(schedule)
+    assert all(r.replay_consumed > 0 and len(r.epoch_losses) == 3 for r in records[1:])
+
+
+# sha256 over every (bx, by) an rsb cell of tiny-drift, seed 1, trained on
+# through fit_batch before its epoch loop became the minibatches generator
+RSB_MINIBATCHES = "efdcad0b0994ecd541203e8a4fb7d5eb232cc84ce133bb19f549715df3b133ef"
+
+
+def test_minibatches_yield_what_fit_batch_trains_on(monkeypatch):
+    config, dataset, schedule, seed = share_inputs("tiny-drift")
+    yielded = hashlib.sha256()
+    for _, _, batches in exp._cell_batches("rsb", config, dataset, schedule, seed):
+        for _, bx, by in batches:
+            assert bx.dtype == np.float64 and by.dtype == np.int64
+            yielded.update(bx.tobytes())
+            yielded.update(by.tobytes())
+    trained = hashlib.sha256()
+    real = MlpClassifier.train_minibatch
+
+    def spy(self, X, y):
+        trained.update(X.tobytes())
+        trained.update(y.tobytes())
+        return real(self, X, y)
+
+    monkeypatch.setattr(MlpClassifier, "train_minibatch", spy)
+    memory = exp._make_memory("rsb", config, rng_for(seed, "rsb", "memory"))
+    model = exp._new_model("rsb", config, dataset, seed)
+    rng, sched_rng = rng_for(seed, "rsb", "learner"), rng_for(seed, "schedule")
+    fit_batch(model, warmup_instances(schedule, dataset), memory, rng, batch_index=-1)
+    for t in range(len(schedule)):
+        fit_batch(model, next_batch(schedule, dataset, t, sched_rng)[0], memory, rng, t)
+    assert yielded.hexdigest() == trained.hexdigest() == RSB_MINIBATCHES
+
+
+# a one-page pipe fills at once, so the calling process is still writing
+# when its learner child stops reading
+PIPE_SIZES = [exp._PIPE_BYTES, 4096]
+
+
+@pytest.mark.parametrize("pipe_bytes", PIPE_SIZES)
+def test_a_diverging_piped_learner_raises_as_in_process(monkeypatch, pipe_bytes):
+    monkeypatch.setattr(exp, "_PIPE_BYTES", pipe_bytes)
+    overrides, seed = SHARE_CONFIGS["tiny-drift"]
+    config = ExperimentConfig(seeds=(seed,), **{**overrides, "learning_rate": 1e300})
+    dataset, schedule = exp.build_inputs(config, seed)
+    errors = []
+    for cpus in (1, 2):
+        report_cpus(monkeypatch, cpus)
+        with pytest.raises(Exception) as info:
+            cell_records(config, dataset, schedule, seed, methods=("rsb",))
+        errors.append((type(info.value), str(info.value)))
+        assert_no_child_left()
+    assert errors[0] == errors[1] == (TrainingDivergedError, "non-finite training loss: nan")
+
+
+@pytest.mark.parametrize("owner, attr", [(RsbMemory, "ingest"), (learner, "sample_replay")])
+def test_a_failure_of_the_calling_process_reaps_the_learner(monkeypatch, owner, attr):
+    config, dataset, schedule, seed = share_inputs("tiny-drift")
+    report_cpus(monkeypatch, 2)
+    real, calls = getattr(owner, attr), []
+
+    def fails_later(*args):
+        calls.append(1)
+        if len(calls) == 40:
+            raise NonFiniteFeatureError("feature values must be finite")
+        return real(*args)
+
+    monkeypatch.setattr(owner, attr, fails_later)
+    with pytest.raises(NonFiniteFeatureError, match="must be finite"):
+        cell_records(config, dataset, schedule, seed, methods=("rsb",))
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("pipe_bytes", PIPE_SIZES)
+def test_a_killed_learner_child_is_named(monkeypatch, pipe_bytes):
+    monkeypatch.setattr(exp, "_PIPE_BYTES", pipe_bytes)
+    config, dataset, schedule, seed = share_inputs("tiny-drift")
+    report_cpus(monkeypatch, 2)
+    parent, real = os.getpid(), exp.evaluate_batch
+
+    def evaluate(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(exp, "evaluate_batch", evaluate)
+    with pytest.raises(RuntimeError, match=rf"^sb learner in process \d+ sent no result: "
+                                           rf"exit status {-signal.SIGKILL}$"):
+        cell_records(config, dataset, schedule, seed, methods=("sb",))
     assert_no_child_left()
