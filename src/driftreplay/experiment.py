@@ -41,9 +41,10 @@ from .streams import (
 KNOWN_METHODS = ("rsb", "sb", "cb0", "cb1", "nn", "offline")
 SCHEDULES = ("stationary", "drift")
 # Cells whose learner runs in a forked child fed by a pipe when a second CPU
-# is available. Their centroid memories give the calling process enough
-# ingest and replay work to overlap with the learner; the other cells' data
-# side is a few milliseconds, so for them a pipe would only add copying.
+# is free for it (``_pipes_learner``). Their centroid memories give the
+# calling process enough ingest and replay work to overlap with the
+# learner; the other cells' data side is a few milliseconds, so for them a
+# pipe would only add copying.
 PIPED_METHODS = ("rsb", "sb")
 # Each batch goes down a learner pipe as a (t, n_rows, 0) header, one
 # (epoch, rows, cols) header per minibatch followed by its rows * cols
@@ -187,6 +188,26 @@ def offline_batches(config: ExperimentConfig, dataset, schedule, seed: int, batc
 
 def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _blas_threads() -> int | None:
+    """The BLAS thread count the environment sets, or None where it sets
+    none and numpy's OpenBLAS starts one thread per CPU. OpenBLAS reads
+    these variables in this order and skips any that is not positive."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return None
+
+
+def _pipes_learner(method: str) -> bool:
+    """Whether ``method``'s learner runs in a forked child: only for a
+    centroid memory, with a second CPU, and with BLAS held to one thread.
+    With the default pool the child's BLAS threads take every CPU, so the
+    calling process's ingest no longer overlaps the learner and the fork
+    gains nothing."""
+    return method in PIPED_METHODS and _cpus() >= 2 and _blas_threads() == 1
 
 
 def offline_shares(dataset, schedule) -> list[list[int]]:
@@ -398,16 +419,16 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
                offline_alphas, offline_per_sub) -> MetricsRecord:
     """One method's cell: the record of its accuracy after every batch.
 
-    With a second CPU, the learner of an ``rsb`` or ``sb`` cell runs in a
-    forked child (``_learn_in_child``); every other cell runs in the
-    calling process. Both give the same bytes.
+    With a second CPU and single-threaded BLAS, the learner of an ``rsb``
+    or ``sb`` cell runs in a forked child (``_learn_in_child``); every
+    other cell runs in the calling process. Both give the same bytes.
     """
     if method == "offline":
         return MetricsRecord("offline", seed, list(offline_alphas),
                              [dict(p) for p in offline_per_sub],
                              list(offline_alphas),
                              omega_all(offline_alphas, offline_alphas))
-    if method in PIPED_METHODS and _cpus() >= 2:
+    if _pipes_learner(method):
         evaluations, _ = _learn_in_child(method, config, dataset, schedule, seed)
     else:
         evaluations, _ = _learn(_new_model(method, config, dataset, seed),

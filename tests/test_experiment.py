@@ -264,6 +264,17 @@ def report_cpus(monkeypatch, n):
     monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def report_blas_threads(monkeypatch, **env):
+    """Set only the given BLAS thread variables; with none, the default pool."""
+    for var in BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -440,6 +451,7 @@ def cell_records(config, dataset, schedule, seed, methods=CELL_METHODS):
 @pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
 def test_method_records_are_identical_on_any_cpu_count(monkeypatch, name):
     config, dataset, schedule, seed = share_inputs(name)
+    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     by_cpus = {}
     for cpus in (1, 2, 3, 64):
         report_cpus(monkeypatch, cpus)
@@ -453,7 +465,6 @@ def test_method_records_are_identical_on_any_cpu_count(monkeypatch, name):
 
 def test_piped_train_records_match_the_calling_process(monkeypatch):
     config, dataset, schedule, seed = share_inputs("tiny-drift")
-    report_cpus(monkeypatch, 2)
     piped = exp._learn_in_child("rsb", config, dataset, schedule, seed)
     assert_no_child_left()
     in_process = exp._learn(exp._new_model("rsb", config, dataset, seed),
@@ -464,6 +475,26 @@ def test_piped_train_records_match_the_calling_process(monkeypatch):
     assert [r.batch_index for r in records] == [-1, *range(len(schedule))]
     assert len(evaluations) == len(schedule)
     assert all(r.replay_consumed > 0 and len(r.epoch_losses) == 3 for r in records[1:])
+
+
+@pytest.mark.parametrize("env, pipes", [
+    ({}, False),  # the default pool: one BLAS thread per CPU
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "2"}, False),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+])
+def test_learners_pipe_only_beside_single_threaded_blas(monkeypatch, env, pipes):
+    config, dataset, schedule, seed = share_inputs("tiny-drift")
+    report_cpus(monkeypatch, 2)
+    report_blas_threads(monkeypatch, **env)
+    forked, real = [], exp._fork
+    monkeypatch.setattr(exp, "_fork", lambda work: forked.append(1) or real(work))
+    cell_records(config, dataset, schedule, seed, methods=("rsb", "sb", "cb0", "nn"))
+    assert len(forked) == (2 if pipes else 0)
+    assert_no_child_left()
 
 
 # sha256 over every (bx, by) an rsb cell of tiny-drift, seed 1, trained on
@@ -508,6 +539,7 @@ def test_a_diverging_piped_learner_raises_as_in_process(monkeypatch, pipe_bytes)
     overrides, seed = SHARE_CONFIGS["tiny-drift"]
     config = ExperimentConfig(seeds=(seed,), **{**overrides, "learning_rate": 1e300})
     dataset, schedule = exp.build_inputs(config, seed)
+    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     errors = []
     for cpus in (1, 2):
         report_cpus(monkeypatch, cpus)
@@ -522,6 +554,7 @@ def test_a_diverging_piped_learner_raises_as_in_process(monkeypatch, pipe_bytes)
 def test_a_failure_of_the_calling_process_reaps_the_learner(monkeypatch, owner, attr):
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     report_cpus(monkeypatch, 2)
+    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     real, calls = getattr(owner, attr), []
 
     def fails_later(*args):
@@ -541,6 +574,7 @@ def test_a_killed_learner_child_is_named(monkeypatch, pipe_bytes):
     monkeypatch.setattr(exp, "_PIPE_BYTES", pipe_bytes)
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     report_cpus(monkeypatch, 2)
+    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     parent, real = os.getpid(), exp.evaluate_batch
 
     def evaluate(*args):
