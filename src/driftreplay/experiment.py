@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import struct
 import sys
 import zlib
 from dataclasses import dataclass, field, fields, asdict, replace
@@ -46,15 +45,9 @@ SCHEDULES = ("stationary", "drift")
 # learner; the other cells' data side is a few milliseconds, so for them a
 # pipe would only add copying.
 PIPED_METHODS = ("rsb", "sb")
-# Each batch goes down a learner pipe as a (t, n_rows, 0) header, one
-# (epoch, rows, cols) header per minibatch followed by its rows * cols
-# float64 features and rows int64 labels, and an all-zero header. A
-# minibatch has at least one row, so rows == 0 ends the batch.
-_HEADER = struct.Struct("=3q")
-_END_OF_BATCH = _HEADER.pack(0, 0, 0)
-# Bytes a learner pipe asks to hold (Linux's limit for unprivileged users),
-# about a batch of minibatches, so the calling process seldom waits for the
-# child to read.
+# Bytes a learner pipe asks to hold (Linux's limit for unprivileged users).
+# Most benchmark batches pickle to more than the 64 KiB default (up to about
+# 128 KiB), so with it the calling process seldom waits for the child to read.
 _PIPE_BYTES = 1 << 20
 
 
@@ -116,7 +109,9 @@ class ExperimentConfig:
         self.spec(RsbConfig)
         if not self.dataset.startswith("file:"):  # a feature file brings its own data
             self.spec(GaussianStreamSpec)
-        self.spec(ClassifierSpec, input_dim=self.dim)
+        # the dataset sets the input dim, and GaussianStreamSpec or the
+        # feature file checks it, so this checks the rest of the block
+        self.spec(ClassifierSpec, input_dim=1)
 
     def spec(self, cls, **given):
         """Build ``cls`` from the fields it shares with this config, plus ``given``."""
@@ -342,41 +337,12 @@ def _learn(model: MlpClassifier, cell, schedule, dataset):
     return evaluations, records
 
 
-def _send(fd: int, *parts):
-    """Write all the bytes of ``parts`` (bytes or contiguous arrays) to fd."""
-    data = memoryview(b"".join(parts))
-    while data:
-        data = data[os.write(fd, data):]
-
-
-def _receive(pipe, shape, dtype) -> np.ndarray:
-    out = np.empty(shape, dtype)
-    if pipe.readinto(out) != out.nbytes:
-        raise EOFError("the learner pipe ended inside a minibatch")
-    return out
-
-
-def _received_minibatches(pipe):
-    while True:
-        epoch, rows, cols = _HEADER.unpack(pipe.read(_HEADER.size))
-        if not rows:  # the end of the batch
-            return
-        yield epoch, _receive(pipe, (rows, cols), np.float64), _receive(pipe, rows, np.int64)
-
-
 def _received_cell(pipe):
-    """What ``_learn_in_child`` sends, as ``_cell_batches`` yielded it."""
-    while head := pipe.read(_HEADER.size):
-        t, n_rows, _ = _HEADER.unpack(head)
-        yield t, n_rows, _received_minibatches(pipe)
-
-
-def _learn_from_pipe(read_fd: int, write_fd: int, method: str, config: ExperimentConfig,
-                     dataset, schedule, seed: int):
-    os.close(write_fd)  # so that the parent's close reaches this child as EOF
-    with open(read_fd, "rb") as pipe:
-        return _learn(_new_model(method, config, dataset, seed), _received_cell(pipe),
-                      schedule, dataset)
+    """What ``_learn_in_child`` sends: one pickled ``(t, n_rows, batches)``
+    per batch until the pipe ends. The cell ends only at a batch boundary;
+    a pipe cut inside a pickle raises from ``pickle.load``."""
+    while pipe.peek(1):
+        yield pickle.load(pipe)
 
 
 def _learn_in_child(method: str, config: ExperimentConfig, dataset, schedule, seed: int):
@@ -391,24 +357,29 @@ def _learn_in_child(method: str, config: ExperimentConfig, dataset, schedule, se
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     except (AttributeError, OSError):  # not Linux, or above the system's limit
         pass
+
+    def learn():
+        os.close(write_fd)  # so that the parent's close reaches this child as EOF
+        with open(read_fd, "rb") as pipe:
+            return _learn(_new_model(method, config, dataset, seed), _received_cell(pipe),
+                          schedule, dataset)
+
     try:
-        pid, result_fd = _fork(lambda: _learn_from_pipe(read_fd, write_fd, method, config,
-                                                        dataset, schedule, seed))
+        pid, result_fd = _fork(learn)
     except BaseException:
         os.close(write_fd)
         raise
     finally:
         os.close(read_fd)
     try:
-        for t, n_rows, batches in _cell_batches(method, config, dataset, schedule, seed):
-            _send(write_fd, _HEADER.pack(t, n_rows, 0))
-            for epoch, bx, by in batches:
-                _send(write_fd, _HEADER.pack(epoch, *bx.shape), bx, by)
-            _send(write_fd, _END_OF_BATCH)
+        # opened only now, so that the child inherits no Python buffer
+        with open(write_fd, "wb") as pipe:
+            for t, n_rows, batches in _cell_batches(method, config, dataset, schedule, seed):
+                pickle.dump((t, n_rows, list(batches)), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.flush()
     except BrokenPipeError:  # the child stopped reading; its outcome says why
         pass
     finally:
-        os.close(write_fd)
         ok, value = _join(pid, result_fd, f"{method} learner")
     if not ok:
         raise value

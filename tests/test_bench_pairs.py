@@ -50,3 +50,20 @@ def test_higher_is_better_metrics_win_upward():
     down = bench_pairs.summarise(pairs_of(PARENT, [v - 0.3 for v in PARENT], "acc"),
                                  better)["acc"]
     assert down["change_wins"] == 0 and down["beyond_noise"] is False
+
+
+def test_a_loss_beyond_the_bound_is_flagged_in_either_direction():
+    bounds = {"wall_s": 0.25, "acc": 0.1}
+    better = {"wall_s": "lower", "acc": "higher"}
+
+    def worse(name, change):
+        return bench_pairs.summarise(pairs_of(PARENT, change, name), better,
+                                     bounds)[name]["worse_beyond_bound"]
+
+    assert worse("wall_s", [v * 1.2 for v in PARENT]) is False  # inside 25%
+    assert worse("wall_s", [v * 1.3 for v in PARENT]) is True
+    assert worse("wall_s", [v * 0.5 for v in PARENT]) is False  # a gain
+    assert worse("acc", [v * 0.95 for v in PARENT]) is False
+    assert worse("acc", [v * 0.85 for v in PARENT]) is True
+    assert "worse_beyond_bound" not in bench_pairs.summarise(
+        pairs_of(PARENT, PARENT), better)["wall_s"]  # no bound, no verdict

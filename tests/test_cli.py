@@ -369,7 +369,8 @@ def test_file_dataset_skips_the_synthetic_data_checks(tmp_path, capsys):
     features = tmp_path / "features.txt"
     assert main(["gen-data", "--spec", spec, "--out", str(features)]) == 0
     capsys.readouterr()
-    assert main(["validate", "--dataset", f"file:{features}", "--std", "-1"]) == 0
+    assert main(["validate", "--dataset", f"file:{features}", "--std", "-1",
+                 "--dim", "0"]) == 0
     assert capsys.readouterr().out.startswith("config OK")
     with pytest.raises(SystemExit) as exc:  # synthetic data still needs a positive std
         main(["run", *FAST, "--std", "-1", "--out", str(tmp_path / "x")])

@@ -1,7 +1,9 @@
 """Unit tests for experiment orchestration."""
 import hashlib
+import io
 import json
 import os
+import pickle
 import signal
 import time
 from collections import Counter
@@ -475,6 +477,28 @@ def test_piped_train_records_match_the_calling_process(monkeypatch):
     assert [r.batch_index for r in records] == [-1, *range(len(schedule))]
     assert len(evaluations) == len(schedule)
     assert all(r.replay_consumed > 0 and len(r.epoch_losses) == 3 for r in records[1:])
+
+
+def test_a_learner_pipe_ends_only_at_a_batch_boundary():
+    config, dataset, schedule, seed = share_inputs("tiny-drift")
+    cell = exp._cell_batches("rsb", config, dataset, schedule, seed)
+    sent = [(t, n_rows, list(batches)) for (t, n_rows, batches), _ in zip(cell, range(2))]
+    first, second = (pickle.dumps(b, pickle.HIGHEST_PROTOCOL) for b in sent)
+
+    def received(data):
+        return exp._received_cell(io.BufferedReader(io.BytesIO(data)))
+
+    def exact(batch):
+        t, n_rows, batches = batch
+        return t, n_rows, [(epoch, bx.dtype, bx.shape, bx.tobytes(), by.dtype, by.tobytes())
+                           for epoch, bx, by in batches]
+
+    assert [exact(b) for b in received(first + second)] == [exact(b) for b in sent]
+    for cut in range(1, len(second)):
+        cell = received(first + second[:cut])
+        assert exact(next(cell)) == exact(sent[0])
+        with pytest.raises((EOFError, pickle.UnpicklingError)):
+            next(cell)
 
 
 @pytest.mark.parametrize("env, pipes", [

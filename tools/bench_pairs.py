@@ -11,7 +11,9 @@ workload. It writes ``BENCH_<slug>.json``
 with the environment of each side, every per-pair value, the medians with
 [Q1, Q3], how many pairs the change won, the per-layer metrics and the
 report digests. Each metric's summary says whether the change's gain is
-beyond noise (``beyond_noise``, against ``parent_iqr``).
+beyond noise (``beyond_noise``, against ``parent_iqr``). An end-to-end
+metric's summary also says whether it got worse by more than its
+``bound`` in ``BENCHMARK.json`` (``worse_beyond_bound``).
 
 Both sides run with bytecode caches: each side gets its own fresh cache
 directory (``PYTHONPYCACHEPREFIX``), compiled before the first run, so a
@@ -63,12 +65,15 @@ def quartiles(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarise(pairs: list, better: dict) -> dict:
+def summarise(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     """Per metric: each side's median and [Q1, Q3], the relative change of
     the medians, the number of pairs in which the change was better, and
     whether that gain is beyond noise: the change wins at least nine tenths
     of all pairs (a tie counts for neither side) and its median is better
-    than the parent's by more than the parent's Q3 - Q1."""
+    than the parent's by more than the parent's Q3 - Q1. A metric with a
+    bound (the end-to-end ones) also says whether it is ``worse_beyond_bound``:
+    the change's median is worse than the parent's by more than that share
+    of the parent's median."""
     out = {}
     for name in pairs[0]["parent"]:
         if name not in better:
@@ -86,6 +91,8 @@ def summarise(pairs: list, better: dict) -> dict:
             "parent_iqr": iqr,
             "beyond_noise": 10 * wins >= 9 * len(pairs) and sign * (before - after) > iqr,
         }
+        if bounds and name in bounds:
+            out[name]["worse_beyond_bound"] = sign * (after - before) > bounds[name] * before
     return out
 
 
@@ -102,6 +109,7 @@ def main(argv=None) -> int:
     table = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in table["workloads"]]
     better = {m["name"]: m["better"] for m in table["end_to_end"] + table["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in table["end_to_end"]}
     # per-layer metrics that must be equal on both sides: every count and ratio
     # except the traced-over-untraced wall time
     exact = [m["name"] for m in table["per_layer"]
@@ -155,7 +163,7 @@ def main(argv=None) -> int:
                      for side in SIDES}} for p in runs[workload]]
         report["workloads"][workload] = {
             "pairs": pairs,
-            "summary": summarise(pairs, better),
+            "summary": summarise(pairs, better, bounds),
             "ops": {side: [{k: p[side]["result"][k] for k in ("correct", "attempted", "failed")}
                            for p in runs[workload]] for side in SIDES},
             "digests": digests,
