@@ -9,7 +9,7 @@ from dataclasses import fields
 
 from .experiment import ExperimentConfig, build_inputs, run_experiment
 from .streams import (FeatureFileError, FeatureRangeError, GaussianStreamSpec, ScheduleError,
-                      generate_gaussian, save_features)
+                      generate_gaussian, read_text_file, save_features)
 
 OUT_DIR_ENV = "DRIFTREPLAY_OUT"
 
@@ -52,11 +52,8 @@ def read_kv_entries(path, parsers=None) -> list:
     With ``parsers`` (key -> parser), unknown keys are refused and each
     value is parsed; errors name the file and the line.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
+    with read_text_file(path, UsageError) as fh:
+        lines = fh.readlines()
     entries = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()

@@ -39,12 +39,6 @@ from .streams import (
 
 KNOWN_METHODS = ("rsb", "sb", "cb0", "cb1", "nn", "offline")
 SCHEDULES = ("stationary", "drift")
-# Cells whose learner runs in a forked child fed by a pipe when a second CPU
-# is free for it (``_pipes_learner``). Their centroid memories give the
-# calling process enough ingest and replay work to overlap with the
-# learner; the other cells' data side is a few milliseconds, so for them a
-# pipe would only add copying.
-PIPED_METHODS = ("rsb", "sb")
 # Bytes a learner pipe asks to hold (Linux's limit for unprivileged users).
 # Most benchmark batches pickle to more than the 64 KiB default (up to about
 # 128 KiB), so with it the calling process seldom waits for the child to read.
@@ -99,6 +93,9 @@ class ExperimentConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.methods or not self.seeds:
             raise ValueError("need at least one method and one seed")
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct and non-negative, got "
+                             + ",".join(map(str, self.seeds)))
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
@@ -183,26 +180,6 @@ def offline_batches(config: ExperimentConfig, dataset, schedule, seed: int, batc
 
 def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _blas_threads() -> int | None:
-    """The BLAS thread count the environment sets, or None where it sets
-    none and numpy's OpenBLAS starts one thread per CPU. OpenBLAS reads
-    these variables in this order and skips any that is not positive."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return None
-
-
-def _pipes_learner(method: str) -> bool:
-    """Whether ``method``'s learner runs in a forked child: only for a
-    centroid memory, with a second CPU, and with BLAS held to one thread.
-    With the default pool the child's BLAS threads take every CPU, so the
-    calling process's ingest no longer overlaps the learner and the fork
-    gains nothing."""
-    return method in PIPED_METHODS and _cpus() >= 2 and _blas_threads() == 1
 
 
 def offline_shares(dataset, schedule) -> list[list[int]]:
@@ -390,16 +367,16 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
                offline_alphas, offline_per_sub) -> MetricsRecord:
     """One method's cell: the record of its accuracy after every batch.
 
-    With a second CPU and single-threaded BLAS, the learner of an ``rsb``
-    or ``sb`` cell runs in a forked child (``_learn_in_child``); every
-    other cell runs in the calling process. Both give the same bytes.
+    With a second CPU, the cell's learner runs in a forked child
+    (``_learn_in_child``); with one, in the calling process. Both give the
+    same bytes.
     """
     if method == "offline":
         return MetricsRecord("offline", seed, list(offline_alphas),
                              [dict(p) for p in offline_per_sub],
                              list(offline_alphas),
                              omega_all(offline_alphas, offline_alphas))
-    if _pipes_learner(method):
+    if _cpus() >= 2:
         evaluations, _ = _learn_in_child(method, config, dataset, schedule, seed)
     else:
         evaluations, _ = _learn(_new_model(method, config, dataset, seed),

@@ -7,6 +7,7 @@ previously seen subconcepts in two-batch episodes.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -222,16 +223,23 @@ def save_features(dataset: SubconceptDataset, path):
                     fh.write(f"{sid},{split},{vals}\n")
 
 
-def _open_input(path, error: type[Exception]):
-    """Open a text input file; an unreadable path raises `error` naming it."""
+def read_text_file(path, error: type[Exception]) -> io.StringIO:
+    """A UTF-8 text input file, read whole, to be read as a text-mode file
+    reads it; an unreadable or non-UTF-8 file raises `error` naming it."""
     try:
-        return open(path, "r", encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror}") from exc
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {lineno}: not UTF-8 text") from exc
 
 
 def load_features(path) -> SubconceptDataset:
-    with _open_input(path, FeatureFileError) as fh:
+    with read_text_file(path, FeatureFileError) as fh:
         header = fh.readline().strip()
         try:
             fields = dict(part.split("=") for part in header.split())
@@ -275,7 +283,7 @@ def load_features(path) -> SubconceptDataset:
 
 def load_schedule(path, n_subconcepts: int) -> StreamSchedule:
     entries = []
-    with _open_input(path, ScheduleError) as fh:
+    with read_text_file(path, ScheduleError) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

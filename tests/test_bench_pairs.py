@@ -1,5 +1,7 @@
-"""Unit tests for the claim verdict of tools/bench_pairs.py's summary."""
+"""Unit tests for tools/bench_pairs.py: its claim verdict and its checkouts."""
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,3 +69,49 @@ def test_a_loss_beyond_the_bound_is_flagged_in_either_direction():
     assert worse("acc", [v * 0.85 for v in PARENT]) is True
     assert "worse_beyond_bound" not in bench_pairs.summarise(
         pairs_of(PARENT, PARENT), better)["wall_s"]  # no bound, no verdict
+
+
+# a perfbench stand-in: one metric whose value the committed tree sets
+FAKE_RUN = '''import json
+print("environment: " + json.dumps({"git_commit": "unknown"}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": WALL, "unit": "s"}}}))
+'''
+FAKE_TABLE = {"workloads": [{"name": "w"}], "per_layer": [],
+              "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+
+
+def commit_fake_checkout(repo, wall):
+    (repo / "perfbench").mkdir(exist_ok=True)
+    (repo / "src").mkdir(exist_ok=True)
+    (repo / "src" / "empty.py").write_text("")
+    (repo / "perfbench" / "run.py").write_text(FAKE_RUN.replace("WALL", str(wall)))
+    (repo / "BENCHMARK.json").write_text(json.dumps(FAKE_TABLE))
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
+    subprocess.run([*git, "add", "-A"], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", f"wall {wall}"], check=True)
+    return subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def test_git_revisions_are_exported_and_their_commits_recorded(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    first = commit_fake_checkout(repo, 2.0)
+    second = commit_fake_checkout(repo, 1.0)
+    monkeypatch.chdir(repo)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", first[:8], "--change", "HEAD", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["environment"]["parent"]["git_commit"] == first
+    assert report["environment"]["change"]["git_commit"] == second
+    summary = report["workloads"]["w"]["summary"]["wall_s"]
+    assert summary["parent"]["median"] == 2.0 and summary["change"]["median"] == 1.0
+    # a directory side keeps what perfbench reads itself
+    bench_pairs.main(["--parent", first, "--change", str(repo), "--out", str(out)])
+    assert json.loads(out.read_text())["environment"]["change"]["git_commit"] == "unknown"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "no-such-rev", "--change", "HEAD", "--out", str(out)])
+    assert exc.value.code == 2

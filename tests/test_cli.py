@@ -204,6 +204,12 @@ def bad_schedule(tmp_path):
     return write(tmp_path / "sched.txt", "0,0,1,intro,0.1,1.0\n1,1,0,outro,0.0,1.0\n")
 
 
+def not_utf8(path):
+    """A file whose second line holds a byte that is not UTF-8."""
+    path.write_bytes(b"# made by hand\n\xff\n")
+    return str(path)
+
+
 PREFLIGHT = {
     "config c_max": lambda d: ["validate", "--config", write(d / "b.cfg", "c_max=abc\n")],
     "config bool": lambda d: ["validate", "--config",
@@ -221,6 +227,12 @@ PREFLIGHT = {
                            "--out", str(d / "x")],
     "config jobs": lambda d: ["run", "--config", write(d / "b.cfg", "jobs=2\n"),
                               "--out", str(d / "x")],
+    "non-utf8 config": lambda d: ["run", "--config", not_utf8(d / "b.cfg"),
+                                  "--out", str(d / "x")],
+    "non-utf8 spec": lambda d: ["gen-data", "--spec", not_utf8(d / "d.cfg"),
+                                "--out", str(d / "x")],
+    "non-utf8 features": lambda d: ["validate", "--dataset", "file:" + not_utf8(d / "f.txt")],
+    "non-utf8 schedule": lambda d: ["validate", "--schedule-file", not_utf8(d / "s.txt")],
 }
 
 
@@ -234,6 +246,14 @@ def test_bad_input_file_is_one_error_line_naming_the_file(case, tmp_path, capsys
     assert len(err) == 1 and err[0].startswith("error: ")
     assert str(tmp_path) in err[0]
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("case", sorted(c for c in PREFLIGHT if c.startswith("non-utf8")))
+def test_a_non_utf8_file_names_its_line(case, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(PREFLIGHT[case](tmp_path))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(": line 2: not UTF-8 text\n")
 
 
 @pytest.mark.parametrize("flags", [["--dim", "0"], ["--hidden-sizes", "0"], ["--std", "-1"],
@@ -328,6 +348,30 @@ def test_config_values_are_judged_together_and_flags_keep_their_message(tmp_path
         main(["validate", "--config", cfg, "--c-min", "40"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: need 0 < c_min <= c_max, got 40, 30\n"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds=-1"], "seeds must be distinct and non-negative, got -1"),
+    (["--seeds", "2,2"], "seeds must be distinct and non-negative, got 2,2"),
+    (["--seeds", "1,-3,2"], "seeds must be distinct and non-negative, got 1,-3,2"),
+])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_negative_or_repeated_seeds_are_refused(command, flags, message, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *FAST, *flags, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_seeds_in_a_config_file_name_its_line(tmp_path, capsys):
+    cfg = write(tmp_path / "b.cfg", "# run\nseeds=2,2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"error: {cfg}:2: seeds: seeds must be distinct and "
+                                       "non-negative, got 2,2\n")
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("text, flags", [

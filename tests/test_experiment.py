@@ -54,6 +54,10 @@ def test_config_validation():
         ExperimentConfig(methods=("rsb", "bogus"))
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=())
+    with pytest.raises(ValueError, match="got -1"):
+        ExperimentConfig(seeds=(-1,))
+    with pytest.raises(ValueError, match="got 2,2"):
+        ExperimentConfig(seeds=(2, 2))
     with pytest.raises(ValueError):
         ExperimentConfig(c_min=20, c_max=10)
 
@@ -266,17 +270,6 @@ def report_cpus(monkeypatch, n):
     monkeypatch.setattr(exp.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def report_blas_threads(monkeypatch, **env):
-    """Set only the given BLAS thread variables; with none, the default pool."""
-    for var in BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-
-
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -441,7 +434,7 @@ def test_a_failed_offline_reference_fails_only_its_seed(monkeypatch, tmp_path, c
 
 # ------------------------------------------------------- piped learner cells
 
-CELL_METHODS = ("rsb", "sb", "cb0", "nn")
+CELL_METHODS = ("rsb", "sb", "cb0", "cb1", "nn")
 
 
 def cell_records(config, dataset, schedule, seed, methods=CELL_METHODS):
@@ -453,14 +446,15 @@ def cell_records(config, dataset, schedule, seed, methods=CELL_METHODS):
 @pytest.mark.parametrize("name", sorted(SHARE_CONFIGS))
 def test_method_records_are_identical_on_any_cpu_count(monkeypatch, name):
     config, dataset, schedule, seed = share_inputs(name)
-    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
+    forked, real = [], exp._fork
+    monkeypatch.setattr(exp, "_fork", lambda work: forked.append(1) or real(work))
     by_cpus = {}
     for cpus in (1, 2, 3, 64):
         report_cpus(monkeypatch, cpus)
-        with monkeypatch.context() as m:
-            if cpus == 1:  # one CPU: every cell runs in the calling process
-                m.setattr(exp.os, "fork", None)
-            by_cpus[cpus] = repr(cell_records(config, dataset, schedule, seed))
+        forked.clear()
+        by_cpus[cpus] = repr(cell_records(config, dataset, schedule, seed))
+        # one learner child per cell beside a second CPU, none on one
+        assert len(forked) == (0 if cpus == 1 else len(CELL_METHODS)), f"{cpus} CPUs"
         assert_no_child_left()
     assert by_cpus[2] == by_cpus[3] == by_cpus[64] == by_cpus[1]
 
@@ -499,26 +493,6 @@ def test_a_learner_pipe_ends_only_at_a_batch_boundary():
         assert exact(next(cell)) == exact(sent[0])
         with pytest.raises((EOFError, pickle.UnpicklingError)):
             next(cell)
-
-
-@pytest.mark.parametrize("env, pipes", [
-    ({}, False),  # the default pool: one BLAS thread per CPU
-    ({"OPENBLAS_NUM_THREADS": "2"}, False),
-    ({"OMP_NUM_THREADS": "2"}, False),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"GOTO_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
-])
-def test_learners_pipe_only_beside_single_threaded_blas(monkeypatch, env, pipes):
-    config, dataset, schedule, seed = share_inputs("tiny-drift")
-    report_cpus(monkeypatch, 2)
-    report_blas_threads(monkeypatch, **env)
-    forked, real = [], exp._fork
-    monkeypatch.setattr(exp, "_fork", lambda work: forked.append(1) or real(work))
-    cell_records(config, dataset, schedule, seed, methods=("rsb", "sb", "cb0", "nn"))
-    assert len(forked) == (2 if pipes else 0)
-    assert_no_child_left()
 
 
 # sha256 over every (bx, by) an rsb cell of tiny-drift, seed 1, trained on
@@ -563,22 +537,22 @@ def test_a_diverging_piped_learner_raises_as_in_process(monkeypatch, pipe_bytes)
     overrides, seed = SHARE_CONFIGS["tiny-drift"]
     config = ExperimentConfig(seeds=(seed,), **{**overrides, "learning_rate": 1e300})
     dataset, schedule = exp.build_inputs(config, seed)
-    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
-    errors = []
-    for cpus in (1, 2):
-        report_cpus(monkeypatch, cpus)
-        with pytest.raises(Exception) as info:
-            cell_records(config, dataset, schedule, seed, methods=("rsb",))
-        errors.append((type(info.value), str(info.value)))
-        assert_no_child_left()
-    assert errors[0] == errors[1] == (TrainingDivergedError, "non-finite training loss: nan")
+    for method in ("rsb", "nn"):  # a cell with a centroid memory, and one with none
+        errors = []
+        for cpus in (1, 2):
+            report_cpus(monkeypatch, cpus)
+            with pytest.raises(Exception) as info:
+                cell_records(config, dataset, schedule, seed, methods=(method,))
+            errors.append((type(info.value), str(info.value)))
+            assert_no_child_left()
+        assert errors[0] == errors[1] == (TrainingDivergedError,
+                                          "non-finite training loss: nan"), method
 
 
 @pytest.mark.parametrize("owner, attr", [(RsbMemory, "ingest"), (learner, "sample_replay")])
 def test_a_failure_of_the_calling_process_reaps_the_learner(monkeypatch, owner, attr):
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     report_cpus(monkeypatch, 2)
-    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     real, calls = getattr(owner, attr), []
 
     def fails_later(*args):
@@ -598,7 +572,6 @@ def test_a_killed_learner_child_is_named(monkeypatch, pipe_bytes):
     monkeypatch.setattr(exp, "_PIPE_BYTES", pipe_bytes)
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     report_cpus(monkeypatch, 2)
-    report_blas_threads(monkeypatch, OPENBLAS_NUM_THREADS="1")
     parent, real = os.getpid(), exp.evaluate_batch
 
     def evaluate(*args):
@@ -607,7 +580,8 @@ def test_a_killed_learner_child_is_named(monkeypatch, pipe_bytes):
         return real(*args)
 
     monkeypatch.setattr(exp, "evaluate_batch", evaluate)
-    with pytest.raises(RuntimeError, match=rf"^sb learner in process \d+ sent no result: "
-                                           rf"exit status {-signal.SIGKILL}$"):
-        cell_records(config, dataset, schedule, seed, methods=("sb",))
-    assert_no_child_left()
+    for method in ("sb", "nn"):  # a cell with a centroid memory, and one with none
+        with pytest.raises(RuntimeError, match=rf"^{method} learner in process \d+ sent no "
+                                               rf"result: exit status {-signal.SIGKILL}$"):
+            cell_records(config, dataset, schedule, seed, methods=(method,))
+        assert_no_child_left()

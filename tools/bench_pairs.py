@@ -1,6 +1,7 @@
 """Paired before/after benchmark of two driftreplay checkouts.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_nearest_scan.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --out BENCH_nearest_scan.json
 
 For each of ten pairs and each workload of the change's ``BENCHMARK.json``
 it runs ``python3 perfbench/run.py`` untraced on seed 2 in both checkouts,
@@ -14,6 +15,11 @@ report digests. Each metric's summary says whether the change's gain is
 beyond noise (``beyond_noise``, against ``parent_iqr``). An end-to-end
 metric's summary also says whether it got worse by more than its
 ``bound`` in ``BENCHMARK.json`` (``worse_beyond_bound``).
+
+Each side is a checkout directory or, when the argument is not a
+directory, a revision of the git repository in the working directory. A
+revision is exported with ``git archive`` into a temporary directory, and
+its full commit id is recorded as that side's ``git_commit``.
 
 Both sides run with bytecode caches: each side gets its own fresh cache
 directory (``PYTHONPYCACHEPREFIX``), compiled before the first run, so a
@@ -60,6 +66,18 @@ def run_bench(checkout: Path, env: dict, workload: str, trace: int) -> dict:
     return run
 
 
+def export_revision(revision: str, into: Path) -> str:
+    """Write ``git archive``'s tree of ``revision`` into the new directory
+    ``into``; return the revision's full commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{revision}^{{commit}}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             capture_output=True, check=True).stdout
+    into.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return commit
+
+
 def quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -98,27 +116,38 @@ def summarise(pairs: list, better: dict, bounds: dict | None = None) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=Path, required=True, help="parent checkout")
-    parser.add_argument("--change", type=Path, required=True, help="change checkout")
+    parser.add_argument("--parent", required=True, help="parent checkout or git revision")
+    parser.add_argument("--change", required=True, help="change checkout or git revision")
     parser.add_argument("--out", type=Path, required=True, help="BENCH_<slug>.json to write")
     args = parser.parse_args(argv)
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    for side, path in checkouts.items():
-        if not (path / "perfbench" / "run.py").is_file():
-            parser.error(f"--{side} {path} holds no perfbench/run.py")
-    table = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-    workloads = [w["name"] for w in table["workloads"]]
-    better = {m["name"]: m["better"] for m in table["end_to_end"] + table["per_layer"]}
-    bounds = {m["name"]: m["bound"] for m in table["end_to_end"]}
-    # per-layer metrics that must be equal on both sides: every count and ratio
-    # except the traced-over-untraced wall time
-    exact = [m["name"] for m in table["per_layer"]
-             if m["unit"] != "s" and m["name"] != "trace.wall_ratio"]
 
-    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as caches:
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        checkouts, commits = {}, {}
+        for side in SIDES:
+            given = getattr(args, side)
+            if Path(given).is_dir():
+                checkouts[side] = Path(given).resolve()
+                continue
+            checkouts[side] = Path(tmp) / "checkouts" / side
+            try:
+                commits[side] = export_revision(given, checkouts[side])
+            except subprocess.CalledProcessError:
+                parser.error(f"--{side} {given} is neither a directory nor a git revision")
+        for side, path in checkouts.items():
+            if not (path / "perfbench" / "run.py").is_file():
+                parser.error(f"--{side} {path} holds no perfbench/run.py")
+        table = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in table["workloads"]]
+        better = {m["name"]: m["better"] for m in table["end_to_end"] + table["per_layer"]}
+        bounds = {m["name"]: m["bound"] for m in table["end_to_end"]}
+        # per-layer metrics that must be equal on both sides: every count and ratio
+        # except the traced-over-untraced wall time
+        exact = [m["name"] for m in table["per_layer"]
+                 if m["unit"] != "s" and m["name"] != "trace.wall_ratio"]
+
         envs = {}
         for side, path in checkouts.items():
-            envs[side] = {**os.environ, "PYTHONPYCACHEPREFIX": str(Path(caches) / side)}
+            envs[side] = {**os.environ, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache" / side)}
             envs[side].pop("PYTHONDONTWRITEBYTECODE", None)
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench"],
                            cwd=path, env=envs[side], check=True)
@@ -148,7 +177,10 @@ def main(argv=None) -> int:
             "bytecode": "cached, one fresh cache directory per side, compiled before run 1",
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         },
-        "environment": {side: runs[workloads[0]][0][side]["environment"] for side in SIDES},
+        # an exported revision has no .git from which perfbench could read its commit
+        "environment": {side: {**runs[workloads[0]][0][side]["environment"],
+                               **({"git_commit": commits[side]} if side in commits else {})}
+                        for side in SIDES},
         "workloads": {},
     }
     for workload in workloads:
