@@ -24,6 +24,8 @@ class ClassBuffer:
             raise ValueError("b_max must be positive")
         if not 0.0 <= tau <= 1.0:
             raise ValueError("tau must lie in [0, 1]")
+        if replay_per_label <= 0:
+            raise ValueError("replay_per_label must be positive")
         self.b_max = b_max
         self.tau = tau
         self.rng = rng if rng is not None else np.random.default_rng(0)

@@ -9,7 +9,7 @@ from dataclasses import fields
 
 from .experiment import ExperimentConfig, build_inputs, run_experiment
 from .streams import (FeatureFileError, FeatureRangeError, GaussianStreamSpec, ScheduleError,
-                      generate_gaussian, read_text_file, save_features)
+                      generate_gaussian, input_lines, save_features)
 
 OUT_DIR_ENV = "DRIFTREPLAY_OUT"
 
@@ -45,35 +45,26 @@ def field_parsers(cls) -> dict:
     return {f.name: PARSERS[f.type] for f in fields(cls)}
 
 
-def read_kv_entries(path, parsers=None) -> list:
-    """(line number, key, value) of each line of flat key=value text, in
-    file order; blank lines and '#' comments are ignored.
-
-    With ``parsers`` (key -> parser), unknown keys are refused and each
-    value is parsed; errors name the file and the line.
-    """
-    with read_text_file(path, UsageError) as fh:
-        lines = fh.readlines()
+def read_kv_entries(path, parsers: dict) -> list:
+    """``(at, key, value)`` of each ``key=value`` line of a config or spec
+    file, in file order, where ``at`` is the line's ``<path>: line <N>:``
+    and ``value`` is parsed by ``parsers[key]``. A line without ``=``, an
+    unknown key or a value its parser refuses is an error naming the line."""
     entries = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for at, line in input_lines(path, UsageError):
         if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value")
+            raise UsageError(f"{at} expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if parsers is not None:
-            if key not in parsers:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                value = parsers[key](value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: {key}: {exc}") from exc
-        entries.append((lineno, key, value))
+        if key not in parsers:
+            raise UsageError(f"{at} unknown key {key!r}")
+        try:
+            entries.append((at, key, parsers[key](value)))
+        except ValueError as exc:
+            raise UsageError(f"{at} {key}: {exc}") from exc
     return entries
 
 
-def _refused_line(cls, path, entries, fixed) -> UsageError | None:
+def _refused_line(cls, entries, fixed) -> UsageError | None:
     """The error of the file line from which ``cls`` refuses the file's
     values, applied in file order over ``fixed`` (the values no file line
     can change, such as flags); None if ``fixed`` alone is refused or the
@@ -88,7 +79,7 @@ def _refused_line(cls, path, entries, fixed) -> UsageError | None:
     except ValueError:
         return None
     applied, error = dict(fixed), None
-    for lineno, key, value in entries:
+    for at, key, value in entries:
         if key in fixed:
             continue
         applied[key] = value
@@ -96,7 +87,7 @@ def _refused_line(cls, path, entries, fixed) -> UsageError | None:
             cls(**applied)
             error = None
         except ValueError as exc:
-            error = error or UsageError(f"{path}:{lineno}: {key}: {exc}")
+            error = error or UsageError(f"{at} {key}: {exc}")
     return error
 
 
@@ -127,7 +118,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     try:
         return ExperimentConfig(**{**from_file, **fixed})
     except ValueError as exc:
-        raise (_refused_line(ExperimentConfig, args.config_file, entries, fixed)
+        raise (_refused_line(ExperimentConfig, entries, fixed)
                or UsageError(str(exc))) from exc
 
 
@@ -149,7 +140,7 @@ def cmd_gen_data(args) -> int:
     try:
         spec = GaussianStreamSpec(**{key: value for _, key, value in entries})
     except ValueError as exc:
-        raise (_refused_line(GaussianStreamSpec, args.spec, entries, {})
+        raise (_refused_line(GaussianStreamSpec, entries, {})
                or UsageError(f"{args.spec}: {exc}")) from exc
     save_features(generate_gaussian(spec), args.out)
     print(f"wrote {args.out}")

@@ -104,6 +104,7 @@ class ExperimentConfig:
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         # each spec validates its own block of parameters
         self.spec(RsbConfig)
+        ClassBuffer(self.cb_b_max, 0.0, replay_per_label=self.cb_replay_per_label)
         if not self.dataset.startswith("file:"):  # a feature file brings its own data
             self.spec(GaussianStreamSpec)
         # the dataset sets the input dim, and GaussianStreamSpec or the
@@ -297,8 +298,7 @@ def _cell_batches(method: str, config: ExperimentConfig, dataset, schedule, seed
     if warm:
         yield ingested(-1, warm)
     for t in range(len(schedule)):
-        instances, _ = next_batch(schedule, dataset, t, sched_rng)
-        yield ingested(t, instances)
+        yield ingested(t, next_batch(schedule, dataset, t, sched_rng))
 
 
 def _learn(model: MlpClassifier, cell, schedule, dataset):

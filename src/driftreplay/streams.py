@@ -7,7 +7,6 @@ previously seen subconcepts in two-batch episodes.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -15,6 +14,9 @@ import numpy as np
 
 from .memory import MAX_FEATURE_ABS, LabeledInstance
 
+# The warm-up: the first fraction of these subconcepts' training rows,
+# presented before batch 0 under their base labels.
+WARMUP_SUBCONCEPTS = (0, 1)
 WARMUP_FRACTION = 0.1
 
 # Default drifting layout: episode start batch -> drifting subconcept.
@@ -82,13 +84,9 @@ class StreamSchedule:
     """The batches of a stream and, per batch, the label of every subconcept
     seen so far (warm-up subconcepts included), in ascending id order."""
 
-    def __init__(self, entries, n_subconcepts: int, warmup_subconcepts=(0, 1),
-                 warmup_fraction: float = WARMUP_FRACTION):
+    def __init__(self, entries):
         self.entries = list(entries)
-        self.n_subconcepts = n_subconcepts
-        self.warmup_subconcepts = tuple(warmup_subconcepts)
-        self.warmup_fraction = warmup_fraction
-        current = {sid: base_label(sid) for sid in self.warmup_subconcepts}
+        current = {sid: base_label(sid) for sid in WARMUP_SUBCONCEPTS}
         self._label_maps: list[dict[int, int]] = []
         for t, e in enumerate(self.entries):
             if e.batch_index != t:
@@ -158,7 +156,7 @@ def build_drift_schedule(n_subconcepts: int = 10, n_batches: int = DEFAULT_DRIFT
             t += 2
         elif len(labels) < n_subconcepts:
             sid = len(labels)
-            start = WARMUP_FRACTION if sid in (0, 1) else 0.0
+            start = WARMUP_FRACTION if sid in WARMUP_SUBCONCEPTS else 0.0
             labels[sid] = base_label(sid)
             entries.append(ScheduleEntry(t, sid, labels[sid], "intro", start, 1.0))
             t += 1
@@ -167,7 +165,7 @@ def build_drift_schedule(n_subconcepts: int = 10, n_batches: int = DEFAULT_DRIFT
             cycle_pos += 1
             entries.append(ScheduleEntry(t, sid, labels[sid], "revisit", 0.0, 1.0))
             t += 1
-    return StreamSchedule(entries, n_subconcepts)
+    return StreamSchedule(entries)
 
 
 @dataclass
@@ -223,55 +221,59 @@ def save_features(dataset: SubconceptDataset, path):
                     fh.write(f"{sid},{split},{vals}\n")
 
 
-def read_text_file(path, error: type[Exception]) -> io.StringIO:
-    """A UTF-8 text input file, read whole, to be read as a text-mode file
-    reads it; an unreadable or non-UTF-8 file raises `error` naming it."""
+def input_lines(path, error: type[Exception]):
+    """Each line of a UTF-8 input file that is not blank or a '#' comment,
+    stripped, as ``(at, line)``, where ``at`` is ``<path>: line <N>:`` for
+    errors to start with. An unreadable or non-UTF-8 file raises ``error``
+    naming it, before any line is yielded."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except OSError as exc:
         raise error(f"{path}: cannot read: {exc.strerror}") from exc
     try:
-        return io.StringIO(data.decode("utf-8"), newline=None)
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}: line {lineno}: not UTF-8 text") from exc
+    # the newlines of a text-mode file: \n, \r\n and \r
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield f"{path}: line {lineno}:", line
 
 
 def load_features(path) -> SubconceptDataset:
-    with read_text_file(path, FeatureFileError) as fh:
-        header = fh.readline().strip()
+    lines = input_lines(path, FeatureFileError)
+    at, header = next(lines, (f"{path}: line 1:", ""))
+    try:
+        fields = dict(part.split("=") for part in header.split())
+        dim = int(fields["dim"])
+        n_sub = int(fields["subconcepts"])
+        if dim <= 0 or n_sub <= 0:
+            raise ValueError("dim and subconcepts must be positive")
+    except (ValueError, KeyError) as exc:
+        raise FeatureFileError(f"{at} malformed header {header!r}") from exc
+    rows: dict[int, dict[str, list]] = {}
+    for at, line in lines:
+        pieces = line.split(",")
+        if len(pieces) != dim + 2:
+            raise FeatureFileError(f"{at} expected {dim + 2} fields, got {len(pieces)}")
         try:
-            fields = dict(part.split("=") for part in header.split())
-            dim = int(fields["dim"])
-            n_sub = int(fields["subconcepts"])
-            if dim <= 0 or n_sub <= 0:
-                raise ValueError("dim and subconcepts must be positive")
-        except (ValueError, KeyError) as exc:
-            raise FeatureFileError(f"{path}: line 1: malformed header {header!r}") from exc
-        rows: dict[int, dict[str, list]] = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            pieces = line.split(",")
-            if len(pieces) != dim + 2:
-                raise FeatureFileError(
-                    f"{path}: line {lineno}: expected {dim + 2} fields, got {len(pieces)}")
-            try:
-                sid = int(pieces[0])
-                split = pieces[1]
-                vals = [float(v) for v in pieces[2:]]
-            except ValueError as exc:
-                raise FeatureFileError(f"{path}: line {lineno}: unparsable row") from exc
-            if split not in ("train", "test"):
-                raise FeatureFileError(f"{path}: line {lineno}: unknown split {split!r}")
-            if sid < 0 or sid >= n_sub:
-                raise FeatureFileError(f"{path}: line {lineno}: unknown subconcept {sid}")
-            if not all(abs(v) <= MAX_FEATURE_ABS for v in vals):
-                raise FeatureFileError(f"{path}: line {lineno}: non-finite feature value "
-                                       f"or one beyond {MAX_FEATURE_ABS:g}")
-            rows.setdefault(sid, {"train": [], "test": []})[split].append(vals)
+            sid = int(pieces[0])
+            split = pieces[1]
+            vals = [float(v) for v in pieces[2:]]
+        except ValueError as exc:
+            raise FeatureFileError(f"{at} unparsable row") from exc
+        if split not in ("train", "test"):
+            raise FeatureFileError(f"{at} unknown split {split!r}")
+        if sid < 0 or sid >= n_sub:
+            raise FeatureFileError(f"{at} unknown subconcept {sid}")
+        if not all(abs(v) <= MAX_FEATURE_ABS for v in vals):
+            raise FeatureFileError(f"{at} non-finite feature value "
+                                   f"or one beyond {MAX_FEATURE_ABS:g}")
+        rows.setdefault(sid, {"train": [], "test": []})[split].append(vals)
     parts = {}
     for sid in range(n_sub):
         blocks = rows.get(sid)
@@ -283,36 +285,31 @@ def load_features(path) -> SubconceptDataset:
 
 def load_schedule(path, n_subconcepts: int) -> StreamSchedule:
     entries = []
-    with read_text_file(path, ScheduleError) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            pieces = line.split(",")
-            at = f"{path}: line {lineno}:"
-            if len(pieces) != 6:
-                raise ScheduleError(f"{at} expected 6 fields")
-            try:
-                e = ScheduleEntry(int(pieces[0]), int(pieces[1]), int(pieces[2]),
-                                  pieces[3], float(pieces[4]), float(pieces[5]))
-            except ValueError as exc:
-                raise ScheduleError(f"{at} unparsable entry") from exc
-            if e.batch_index != len(entries):
-                raise ScheduleError(f"{at} batch index {e.batch_index}, expected {len(entries)}")
-            if not 0 <= e.subconcept_id < n_subconcepts:
-                raise ScheduleError(f"{at} unknown subconcept {e.subconcept_id}")
-            if e.label not in (0, 1):
-                raise ScheduleError(f"{at} label {e.label} is not 0 or 1")
-            if e.kind not in ENTRY_KINDS:
-                raise ScheduleError(f"{at} unknown kind {e.kind!r}")
-            if not 0.0 <= e.slice_start < e.slice_end <= 1.0:
-                raise ScheduleError(f"{at} slice {e.slice_start}..{e.slice_end} "
-                                    "breaks 0 <= start < end <= 1")
-            entries.append(e)
+    for at, line in input_lines(path, ScheduleError):
+        pieces = line.split(",")
+        if len(pieces) != 6:
+            raise ScheduleError(f"{at} expected 6 fields")
+        try:
+            e = ScheduleEntry(int(pieces[0]), int(pieces[1]), int(pieces[2]),
+                              pieces[3], float(pieces[4]), float(pieces[5]))
+        except ValueError as exc:
+            raise ScheduleError(f"{at} unparsable entry") from exc
+        if e.batch_index != len(entries):
+            raise ScheduleError(f"{at} batch index {e.batch_index}, expected {len(entries)}")
+        if not 0 <= e.subconcept_id < n_subconcepts:
+            raise ScheduleError(f"{at} unknown subconcept {e.subconcept_id}")
+        if e.label not in (0, 1):
+            raise ScheduleError(f"{at} label {e.label} is not 0 or 1")
+        if e.kind not in ENTRY_KINDS:
+            raise ScheduleError(f"{at} unknown kind {e.kind!r}")
+        if not 0.0 <= e.slice_start < e.slice_end <= 1.0:
+            raise ScheduleError(f"{at} slice {e.slice_start}..{e.slice_end} "
+                                "breaks 0 <= start < end <= 1")
+        entries.append(e)
     if not entries:
         raise ScheduleError(f"{path}: no schedule entries")
     try:
-        return StreamSchedule(entries, n_subconcepts)
+        return StreamSchedule(entries)
     except ScheduleError as exc:
         raise ScheduleError(f"{path}: {exc}") from None
 
@@ -324,10 +321,11 @@ def slice_rows(block: np.ndarray, start: float, end: float) -> np.ndarray:
 
 
 def warmup_instances(schedule: StreamSchedule, dataset: SubconceptDataset):
-    """The initialization sample: the first fraction of the warmup subconcepts."""
+    """The initialization sample, the same for every schedule: the first
+    fraction of the warm-up subconcepts' training rows."""
     out = []
-    for sid in schedule.warmup_subconcepts:
-        block = slice_rows(dataset.train(sid), 0.0, schedule.warmup_fraction)
+    for sid in WARMUP_SUBCONCEPTS:
+        block = slice_rows(dataset.train(sid), 0.0, WARMUP_FRACTION)
         out.extend(LabeledInstance(row.copy(), base_label(sid), sid) for row in block)
     return out
 
@@ -354,8 +352,8 @@ def presented_masks(schedule: StreamSchedule, dataset: SubconceptDataset,
     masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
              for sid in schedule.current_label_map(t)}
     # slice_rows returns a view, so these assignments mark rows in the masks
-    for sid in schedule.warmup_subconcepts:
-        slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
+    for sid in WARMUP_SUBCONCEPTS:
+        slice_rows(masks[sid], 0.0, WARMUP_FRACTION)[...] = True
     for e in schedule.entries[:t + 1]:
         slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
     return masks
@@ -374,9 +372,8 @@ def presented_rows(schedule: StreamSchedule, dataset: SubconceptDataset, t: int)
 
 def next_batch(schedule: StreamSchedule, dataset: SubconceptDataset, t: int,
                rng: np.random.Generator):
-    """Training instances for batch t (shuffled) plus the cumulative eval pool."""
+    """The training instances of batch t, shuffled."""
     e = schedule.entry(t)
     block = slice_rows(dataset.train(e.subconcept_id), e.slice_start, e.slice_end)
     order = rng.permutation(len(block))
-    instances = [LabeledInstance(block[i].copy(), e.label, e.subconcept_id) for i in order]
-    return instances, eval_pool(schedule, dataset, t)
+    return [LabeledInstance(block[i].copy(), e.label, e.subconcept_id) for i in order]

@@ -19,6 +19,8 @@ def test_class_buffer_validation():
         ClassBuffer(10, 1.5)
     with pytest.raises(ValueError):
         ClassBuffer(10, -0.1)
+    with pytest.raises(ValueError, match="replay_per_label must be positive"):
+        ClassBuffer(10, 0.5, replay_per_label=0)
 
 
 def test_cb0_keeps_exactly_the_first_arrivals():

@@ -71,6 +71,23 @@ def test_a_loss_beyond_the_bound_is_flagged_in_either_direction():
         pairs_of(PARENT, PARENT), better)["wall_s"]  # no bound, no verdict
 
 
+WIDE = [2.0, 4.0, 3.0, 2.4, 3.6, 2.0, 4.0, 3.0, 2.4, 3.6]  # IQR 1.2, 40% of the median 3.0
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    (PARENT, [v * 1.1 for v in PARENT], False),  # both spreads inside the 25% bound
+    (WIDE, [v * 0.9 for v in WIDE], True),  # the parent's spread is wider than the bound
+    (PARENT, [v * 0.9 for v in WIDE], True),  # so is the change's, and it decides
+    (WIDE, [v / 2.5 for v in WIDE], False),  # every change run beats every parent run
+])
+def test_a_spread_wider_than_the_bound_is_unresolved(parent, change, unresolved):
+    s = bench_pairs.summarise(pairs_of(parent, change), {"wall_s": "lower"},
+                              {"wall_s": 0.25})["wall_s"]
+    assert s["unresolved"] is unresolved
+    assert "unresolved" not in bench_pairs.summarise(
+        pairs_of(parent, change), {"wall_s": "lower"})["wall_s"]  # no bound, no verdict
+
+
 # a perfbench stand-in: one metric whose value the committed tree sets
 FAKE_RUN = '''import json
 print("environment: " + json.dumps({"git_commit": "unknown"}))

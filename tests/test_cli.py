@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from driftreplay.cli import build_parser, main, parse_config, read_kv_entries
+from driftreplay.cli import build_parser, field_parsers, main, parse_config, read_kv_entries
+from driftreplay.experiment import ExperimentConfig
 from driftreplay.memory import RsbConfig
 from driftreplay.streams import load_features
 
@@ -69,7 +70,8 @@ def test_malformed_config_line_rejected(tmp_path):
 def test_kv_file_parsing(tmp_path):
     cfg = tmp_path / "a.cfg"
     cfg.write_text("# comment\n\nalpha_r = 0.3\nmethods=rsb,nn\n")
-    assert read_kv_entries(cfg) == [(3, "alpha_r", "0.3"), (4, "methods", "rsb,nn")]
+    assert read_kv_entries(cfg, field_parsers(ExperimentConfig)) == [
+        (f"{cfg}: line 3:", "alpha_r", 0.3), (f"{cfg}: line 4:", "methods", ("rsb", "nn"))]
 
 
 def test_env_var_sets_default_out_dir(tmp_path, monkeypatch):
@@ -248,6 +250,30 @@ def test_bad_input_file_is_one_error_line_naming_the_file(case, tmp_path, capsys
     assert not (tmp_path / "x").exists()
 
 
+# per input kind: a file name, text that is bad at line 3, and the argv that reads it
+BAD_AT_LINE_3 = {
+    "config key": ("b.cfg", "# run\nc_max=10\nc_maxx=3\n", lambda f: ["validate", "--config", f]),
+    "spec value": ("d.cfg", "dim=3\n\nstd=abc\n",
+                   lambda f: ["gen-data", "--spec", f, "--out", f + ".out"]),
+    "feature fields": ("f.txt", "dim=2 subconcepts=2\n0,train,1.0,2.0\n0,test,1.0\n",
+                       lambda f: ["validate", "--dataset", "file:" + f]),
+    "schedule kind": ("s.txt", "0,0,1,intro,0.1,1.0\n# then\n1,1,0,outro,0.0,1.0\n",
+                      lambda f: ["validate", "--schedule-file", f]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_AT_LINE_3))
+def test_a_bad_line_of_every_input_kind_is_named_path_line_n(kind, tmp_path, capsys):
+    name, text, argv = BAD_AT_LINE_3[kind]
+    path = write(tmp_path / name, text)
+    with pytest.raises(SystemExit) as exc:
+        main(argv(path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: line 3: ")
+    assert not Path(path + ".out").exists()
+
+
 @pytest.mark.parametrize("case", sorted(c for c in PREFLIGHT if c.startswith("non-utf8")))
 def test_a_non_utf8_file_names_its_line(case, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -260,7 +286,8 @@ def test_a_non_utf8_file_names_its_line(case, tmp_path, capsys):
                                    ["--epochs-per-batch", "0"], ["--train-per", "0"],
                                    ["--schedule", "weekly"], ["--config", "schedule=bogus"],
                                    ["--schedule", "drift", "--drift-batches", "0"],
-                                   ["--schedule", "drift", "--drift-batches", "-1"]])
+                                   ["--schedule", "drift", "--drift-batches", "-1"],
+                                   ["--cb-b-max", "0"], ["--cb-replay-per-label", "0"]])
 def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     if flags[0] == "--config":
         flags = ["--config", write(tmp_path / "b.cfg", flags[1] + "\n")]
@@ -269,6 +296,20 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--cb-b-max", "0"], "b_max must be positive"),
+    (["--cb-replay-per-label", "0"], "replay_per_label must be positive"),
+])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_class_buffer_settings_are_refused_before_any_cell_runs(command, flags, message,
+                                                                tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *FAST, "--methods", "cb0", *flags, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_run_refuses_a_drift_schedule_without_batches(tmp_path, capsys):
@@ -327,6 +368,8 @@ def test_validate_generates_the_data_of_every_seed(capsys):
      "4: schedule: unknown schedule 'bogus'"),
     # taken on its own, the file is refused under the flag's c_max
     ("c_max=30\nc_min=20\n", ["--c-max", "10"], "2: c_min: need 0 < c_min <= c_max, got 20, 10"),
+    ("# cb\ncb_replay_per_label=0\n", [],
+     "2: cb_replay_per_label: replay_per_label must be positive"),
 ])
 def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, tmp_path,
                                                            capsys):
@@ -335,7 +378,7 @@ def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, t
         main(["validate", "--config", cfg, *flags])
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {cfg}:{blamed}")
+    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: line {blamed}")
 
 
 def test_config_values_are_judged_together_and_flags_keep_their_message(tmp_path, capsys):
@@ -369,7 +412,7 @@ def test_repeated_seeds_in_a_config_file_name_its_line(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", cfg, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == (f"error: {cfg}:2: seeds: seeds must be distinct and "
+    assert capsys.readouterr().err == (f"error: {cfg}: line 2: seeds: seeds must be distinct and "
                                        "non-negative, got 2,2\n")
     assert not (tmp_path / "x").exists()
 

@@ -33,6 +33,8 @@ from driftreplay.learner import (
 )
 from driftreplay.memory import LabeledInstance, NonFiniteFeatureError, RsbConfig, RsbMemory
 from driftreplay.streams import (
+    WARMUP_FRACTION,
+    WARMUP_SUBCONCEPTS,
     GaussianStreamSpec,
     eval_pool,
     next_batch,
@@ -234,8 +236,8 @@ def incremental_presented(dataset, schedule):
     from one set of row masks that grows batch by batch."""
     masks = {sid: np.zeros(len(dataset.train(sid)), dtype=bool)
              for sid in dataset.subconcept_ids}
-    for sid in schedule.warmup_subconcepts:
-        slice_rows(masks[sid], 0.0, schedule.warmup_fraction)[...] = True
+    for sid in WARMUP_SUBCONCEPTS:
+        slice_rows(masks[sid], 0.0, WARMUP_FRACTION)[...] = True
     for t in range(len(schedule)):
         e = schedule.entry(t)
         slice_rows(masks[e.subconcept_id], e.slice_start, e.slice_end)[...] = True
@@ -522,7 +524,7 @@ def test_minibatches_yield_what_fit_batch_trains_on(monkeypatch):
     rng, sched_rng = rng_for(seed, "rsb", "learner"), rng_for(seed, "schedule")
     fit_batch(model, warmup_instances(schedule, dataset), memory, rng, batch_index=-1)
     for t in range(len(schedule)):
-        fit_batch(model, next_batch(schedule, dataset, t, sched_rng)[0], memory, rng, t)
+        fit_batch(model, next_batch(schedule, dataset, t, sched_rng), memory, rng, t)
     assert yielded.hexdigest() == trained.hexdigest() == RSB_MINIBATCHES
 
 

@@ -8,6 +8,7 @@ import pytest
 from driftreplay.memory import MAX_FEATURE_ABS
 from driftreplay.streams import (
     DEFAULT_DRIFT_EPISODES,
+    WARMUP_SUBCONCEPTS,
     FeatureFileError,
     FeatureRangeError,
     GaussianStreamSpec,
@@ -88,7 +89,7 @@ def flip_counting_label_map(schedule, t):
         if e.label != current.get(e.subconcept_id, base_label(e.subconcept_id)):
             flips.setdefault(e.subconcept_id, []).append(e.batch_index)
         current[e.subconcept_id] = e.label
-    seen = set(schedule.warmup_subconcepts)
+    seen = set(WARMUP_SUBCONCEPTS)
     seen.update(e.subconcept_id for e in schedule.entries if e.batch_index <= t)
     return {sid: (base_label(sid) + sum(fb <= t for fb in flips.get(sid, []))) % 2
             for sid in sorted(seen)}
@@ -118,7 +119,7 @@ def test_twice_flipped_subconcept_is_revisited_under_its_current_label():
 def test_schedule_rejects_a_gap_in_batch_indices():
     entries = [ScheduleEntry(0, 0, 1, "intro"), ScheduleEntry(2, 1, 0, "intro")]
     with pytest.raises(ScheduleError, match="batch index 2, expected 1"):
-        StreamSchedule(entries, 2)
+        StreamSchedule(entries)
 
 
 def test_lookups_outside_the_schedule_raise_index_error():
@@ -149,7 +150,7 @@ def test_schedule_rejects_label_change_outside_drift():
         ScheduleEntry(1, 0, 0, "revisit"),  # silent flip
     ]
     with pytest.raises(ScheduleError):
-        StreamSchedule(entries, 2)
+        StreamSchedule(entries)
 
 
 @pytest.mark.parametrize("n_batches", [0, -1])
@@ -261,6 +262,16 @@ def test_feature_file_golden_three_rows(tmp_path):
     assert np.array_equal(data.test(0), [[-1.0, 0.5]])
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_feature_file_skips_blank_and_comment_lines(tmp_path, newline):
+    path = tmp_path / "commented.txt"
+    text = "# made by hand\ndim=2 subconcepts=1\n\n0,train,1.5,-2.0\n  # the holdout\n0,test,-1.0,0.5\n"
+    path.write_bytes(text.replace("\n", newline).encode())
+    data = load_features(path)
+    assert np.array_equal(data.train(0), [[1.5, -2.0]])
+    assert np.array_equal(data.test(0), [[-1.0, 0.5]])
+
+
 def test_feature_file_header_and_split_errors(tmp_path):
     bad_header = tmp_path / "h.txt"
     bad_header.write_text("dims=2\n")
@@ -296,6 +307,7 @@ def test_schedule_file_arity_error(tmp_path):
     ("dim=2 subconcepts=1\n0,train,1.0,2.0\n0,test,0.5,1e200\n", "line 3: non-finite"),
     ("dim=1 subconcepts=2\n0,train,1.0\n0,test,1.0\n", "subconcept 1 lacks"),
     ("dim=0 subconcepts=1\n", "line 1: malformed header"),
+    ("", "line 1: malformed header ''$"),
 ])
 def test_feature_file_rejects_bad_values_and_missing_subconcepts(tmp_path, text, problem):
     path = tmp_path / "bad.txt"
@@ -345,9 +357,9 @@ def test_warmup_sizes():
 def test_next_batch_is_shuffled_but_reproducible():
     data = tiny_dataset()
     sched = build_stationary_schedule(4)
-    a, _ = next_batch(sched, data, 2, np.random.default_rng(9))
-    b, _ = next_batch(sched, data, 2, np.random.default_rng(9))
-    c, _ = next_batch(sched, data, 2, np.random.default_rng(10))
+    a = next_batch(sched, data, 2, np.random.default_rng(9))
+    b = next_batch(sched, data, 2, np.random.default_rng(9))
+    c = next_batch(sched, data, 2, np.random.default_rng(10))
     assert all(np.array_equal(x.features, y.features) for x, y in zip(a, b))
     assert not all(np.array_equal(x.features, y.features) for x, y in zip(a, c))
     assert all(i.label == base_label(2) for i in a)
@@ -363,7 +375,7 @@ def test_stationary_emission_covers_every_training_row():
         seen[i.subconcept_id].append(i.features)
     rng = np.random.default_rng(0)
     for t in range(len(sched)):
-        for i in next_batch(sched, data, t, rng)[0]:
+        for i in next_batch(sched, data, t, rng):
             seen[i.subconcept_id].append(i.features)
     for sid in data.subconcept_ids:
         got = np.array(sorted(map(tuple, seen[sid])))
@@ -375,8 +387,8 @@ def test_drift_batches_emit_halves():
     data = tiny_dataset(n_sub=10, train_per=40)
     sched = build_drift_schedule()
     rng = np.random.default_rng(0)
-    first, _ = next_batch(sched, data, 4, rng)
-    second, _ = next_batch(sched, data, 5, rng)
+    first = next_batch(sched, data, 4, rng)
+    second = next_batch(sched, data, 5, rng)
     assert len(first) == 20 and len(second) == 20
     assert all(i.label == 0 and i.subconcept_id == 0 for i in first + second)
     both = sorted(map(tuple, [i.features for i in first + second]))

@@ -14,7 +14,8 @@ with the environment of each side, every per-pair value, the medians with
 report digests. Each metric's summary says whether the change's gain is
 beyond noise (``beyond_noise``, against ``parent_iqr``). An end-to-end
 metric's summary also says whether it got worse by more than its
-``bound`` in ``BENCHMARK.json`` (``worse_beyond_bound``).
+``bound`` in ``BENCHMARK.json`` (``worse_beyond_bound``), and whether the
+runs spread too widely to tell (``unresolved``).
 
 Each side is a checkout directory or, when the argument is not a
 directory, a revision of the git repository in the working directory. A
@@ -91,7 +92,9 @@ def summarise(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     than the parent's by more than the parent's Q3 - Q1. A metric with a
     bound (the end-to-end ones) also says whether it is ``worse_beyond_bound``:
     the change's median is worse than the parent's by more than that share
-    of the parent's median."""
+    of the parent's median; and whether it is ``unresolved``: the larger
+    side's Q3 - Q1 exceeds that share of the parent's median, and not every
+    change value is better than every parent value."""
     out = {}
     for name in pairs[0]["parent"]:
         if name not in better:
@@ -110,7 +113,11 @@ def summarise(pairs: list, better: dict, bounds: dict | None = None) -> dict:
             "beyond_noise": 10 * wins >= 9 * len(pairs) and sign * (before - after) > iqr,
         }
         if bounds and name in bounds:
+            spread = max(stats[side]["q3"] - stats[side]["q1"] for side in SIDES)
+            better_than_all = all(sign * (c - p) < 0
+                                  for c in sides["change"] for p in sides["parent"])
             out[name]["worse_beyond_bound"] = sign * (after - before) > bounds[name] * before
+            out[name]["unresolved"] = spread > bounds[name] * before and not better_than_all
     return out
 
 
