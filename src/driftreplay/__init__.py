@@ -16,7 +16,6 @@ from .replay import oversample_balance, purity, sample_replay
 from .learner import (
     ClassifierSpec,
     MlpClassifier,
-    fit_batch,
     fit_offline,
     gradient_check,
 )

@@ -87,7 +87,8 @@ def _refused_line(cls, entries, fixed) -> UsageError | None:
             cls(**applied)
             error = None
         except ValueError as exc:
-            error = error or UsageError(f"{at} {key}: {exc}")
+            # a refusal that already starts with the key names it once
+            error = error or UsageError(f"{at} {key}: {str(exc).removeprefix(key + ' ')}")
     return error
 
 

@@ -17,7 +17,6 @@ class MetricsRecord:
     seed: int
     alphas: list = field(default_factory=list)           # per-batch overall accuracy
     per_subconcept: list = field(default_factory=list)   # per-batch {sid: accuracy}
-    offline_alphas: list = field(default_factory=list)
     omega: float | None = None
 
 

@@ -25,6 +25,7 @@ from .memory import RsbConfig, RsbMemory
 from .streams import (
     FeatureFileError,
     GaussianStreamSpec,
+    ScheduleError,
     build_drift_schedule,
     build_stationary_schedule,
     eval_pool,
@@ -34,6 +35,7 @@ from .streams import (
     next_batch,
     presented_masks,
     presented_rows,
+    slice_rows,
     warmup_instances,
 )
 
@@ -104,7 +106,7 @@ class ExperimentConfig:
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         # each spec validates its own block of parameters
         self.spec(RsbConfig)
-        ClassBuffer(self.cb_b_max, 0.0, replay_per_label=self.cb_replay_per_label)
+        _make_memory("cb0", self, None)
         if not self.dataset.startswith("file:"):  # a feature file brings its own data
             self.spec(GaussianStreamSpec)
         # the dataset sets the input dim, and GaussianStreamSpec or the
@@ -150,7 +152,15 @@ def build_inputs(config: ExperimentConfig, seed: int):
         if len(dataset.subconcept_ids) < 2:
             raise FeatureFileError(f"{config.dataset}: a stream needs at least 2 subconcepts")
         config = replace(config, n_subconcepts=len(dataset.subconcept_ids))
-    return dataset, build_schedule(config)
+    schedule = build_schedule(config)
+    for e in schedule.entries:  # a learner cannot train on an empty batch
+        rows = dataset.train(e.subconcept_id)
+        if not len(slice_rows(rows, e.slice_start, e.slice_end)):
+            where = f"{config.schedule_file}: " if config.schedule_file else ""
+            raise ScheduleError(f"{where}batch {e.batch_index}: slice {e.slice_start}.."
+                                f"{e.slice_end} selects none of subconcept {e.subconcept_id}'s "
+                                f"{len(rows)} training rows")
+    return dataset, schedule
 
 
 def _make_memory(method: str, config: ExperimentConfig, rng):
@@ -159,9 +169,11 @@ def _make_memory(method: str, config: ExperimentConfig, rng):
     if method == "sb":
         return StaticCentroidMemory(config.spec(RsbConfig), rng)
     if method in ("cb0", "cb1"):
-        tau = 0.0 if method == "cb0" else 1.0
-        return ClassBuffer(config.cb_b_max, tau, rng,
-                           replay_per_label=config.cb_replay_per_label)
+        try:
+            return ClassBuffer(config.cb_b_max, 0.0 if method == "cb0" else 1.0, rng,
+                               replay_per_label=config.cb_replay_per_label)
+        except ValueError as exc:  # it names its parameter; the field is cb_<parameter>
+            raise ValueError(f"cb_{exc}") from None
     return None
 
 
@@ -374,7 +386,6 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
     if method == "offline":
         return MetricsRecord("offline", seed, list(offline_alphas),
                              [dict(p) for p in offline_per_sub],
-                             list(offline_alphas),
                              omega_all(offline_alphas, offline_alphas))
     if _cpus() >= 2:
         evaluations, _ = _learn_in_child(method, config, dataset, schedule, seed)
@@ -384,7 +395,7 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
                                 schedule, dataset)
     alphas = [a for a, _ in evaluations]
     return MetricsRecord(method, seed, alphas, [ps for _, ps in evaluations],
-                         list(offline_alphas), omega_all(alphas, offline_alphas))
+                         omega_all(alphas, offline_alphas))
 
 
 def run_seed(config: ExperimentConfig, seed: int):

@@ -199,19 +199,6 @@ def ingest_batch(batch, memory=None):
     return _to_arrays(batch)
 
 
-def fit_batch(model: MlpClassifier, batch, memory=None,
-              rng: np.random.Generator | None = None, batch_index: int = 0) -> TrainRecord:
-    """Train on one stream batch; with a memory, every minibatch gets replay.
-
-    The memory absorbs every raw instance exactly once, before any
-    gradient epoch runs.
-    """
-    rng = rng if rng is not None else np.random.default_rng(0)
-    X, y = ingest_batch(batch, memory)
-    return TrainRecord.of(batch_index, len(X),
-                          *train_epochs(model, minibatches(X, y, memory, rng, model.spec)))
-
-
 def minibatches(X, y, memory, rng: np.random.Generator, spec: ClassifierSpec):
     """Yield (epoch, bx, by) for every minibatch of one batch's epochs.
 

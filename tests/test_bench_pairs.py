@@ -1,6 +1,7 @@
 """Unit tests for tools/bench_pairs.py: its claim verdict and its checkouts."""
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -126,9 +127,19 @@ def test_git_revisions_are_exported_and_their_commits_recorded(tmp_path, monkeyp
     assert report["environment"]["change"]["git_commit"] == second
     summary = report["workloads"]["w"]["summary"]["wall_s"]
     assert summary["parent"]["median"] == 2.0 and summary["change"]["median"] == 1.0
+    assert [sorted(run) for run in report["workloads"]["w"]["seconds"]["change"]] == [
+        ["cpu_s", "elapsed_s"]] * 2
     # a directory side keeps what perfbench reads itself
     bench_pairs.main(["--parent", first, "--change", str(repo), "--out", str(out)])
     assert json.loads(out.read_text())["environment"]["change"]["git_commit"] == "unknown"
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", "no-such-rev", "--change", "HEAD", "--out", str(out)])
     assert exc.value.code == 2
+
+
+def test_each_run_records_its_wall_and_cpu_seconds(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN.replace("WALL", "1.0"))
+    run = bench_pairs.run_bench(tmp_path, dict(os.environ), "w", 0)
+    assert run["result"]["correct"] is True
+    assert run["elapsed_s"] > 0 and run["cpu_s"] > 0

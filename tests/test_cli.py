@@ -298,6 +298,7 @@ def test_validate_refuses_values_run_cannot_use(flags, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
+# per flag, ClassBuffer's own refusal; the error names the field, cb_<parameter>
 @pytest.mark.parametrize("flags, message", [
     (["--cb-b-max", "0"], "b_max must be positive"),
     (["--cb-replay-per-label", "0"], "replay_per_label must be positive"),
@@ -308,7 +309,7 @@ def test_class_buffer_settings_are_refused_before_any_cell_runs(command, flags, 
     with pytest.raises(SystemExit) as exc:
         main([command, *FAST, "--methods", "cb0", *flags, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: cb_{message}\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -319,6 +320,34 @@ def test_run_refuses_a_drift_schedule_without_batches(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: need at least 1 batch, got 0"]
+    assert not (tmp_path / "x").exists()
+
+
+# per case: the schedule file's text, if any, the flags, and the error after "error: "
+EMPTY_SLICES = {
+    "file": ("0,0,1,intro,0.1,1.0\n1,1,0,intro,0.1,1.0\n2,2,1,intro,0.0,0.01\n"
+             "3,3,0,intro,0.0,1.0\n",
+             ["--n-subconcepts", "4", "--dim", "4", "--train-per", "80", "--test-per", "20",
+              "--hidden-sizes", "8", "--epochs-per-batch", "1"],
+             "{path}: batch 2: slice 0.0..0.01 selects none of subconcept 2's 80 training rows"),
+    "drift": (None,
+              ["--schedule", "drift", "--n-subconcepts", "4", "--dim", "4", "--train-per", "1",
+               "--test-per", "5", "--methods", "rsb,nn,offline"],
+              "batch 4: slice 0.0..0.5 selects none of subconcept 0's 1 training rows"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_SLICES))
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_a_slice_that_selects_no_training_row_is_refused(command, case, tmp_path, capsys):
+    text, flags, message = EMPTY_SLICES[case]
+    path = tmp_path / "s.csv"
+    if text is not None:
+        flags = [*flags, "--schedule-file", write(path, text)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not (tmp_path / "x").exists()
 
 
@@ -368,8 +397,8 @@ def test_validate_generates_the_data_of_every_seed(capsys):
      "4: schedule: unknown schedule 'bogus'"),
     # taken on its own, the file is refused under the flag's c_max
     ("c_max=30\nc_min=20\n", ["--c-max", "10"], "2: c_min: need 0 < c_min <= c_max, got 20, 10"),
-    ("# cb\ncb_replay_per_label=0\n", [],
-     "2: cb_replay_per_label: replay_per_label must be positive"),
+    ("# cb\ncb_replay_per_label=0\n", [], "2: cb_replay_per_label: must be positive\n"),
+    ("cb_b_max=0\n", [], "1: cb_b_max: must be positive\n"),
 ])
 def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, tmp_path,
                                                            capsys):
@@ -377,8 +406,8 @@ def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, t
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--config", cfg, *flags])
     assert exc.value.code == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {cfg}: line {blamed}")
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: line {blamed}")
 
 
 def test_config_values_are_judged_together_and_flags_keep_their_message(tmp_path, capsys):
@@ -412,7 +441,7 @@ def test_repeated_seeds_in_a_config_file_name_its_line(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--config", cfg, "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == (f"error: {cfg}: line 2: seeds: seeds must be distinct and "
+    assert capsys.readouterr().err == (f"error: {cfg}: line 2: seeds: must be distinct and "
                                        "non-negative, got 2,2\n")
     assert not (tmp_path / "x").exists()
 

@@ -90,8 +90,7 @@ def sample_records(n_batches=30):
         offline = list(rng.uniform(0.9, 1.0, size=n_batches))
         per_sub = [{0: float(rng.uniform()), 1: float(rng.uniform())}
                    for _ in range(n_batches)]
-        records.append(MetricsRecord(method, 7, alphas, per_sub, offline,
-                                     omega_all(alphas, offline)))
+        records.append(MetricsRecord(method, 7, alphas, per_sub, omega_all(alphas, offline)))
     return records
 
 

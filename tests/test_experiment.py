@@ -23,12 +23,11 @@ from driftreplay.experiment import (
     run_seed,
 )
 from driftreplay import learner
-from driftreplay.evaluation import evaluate_batch
+from driftreplay.evaluation import evaluate_batch, omega_all
 from driftreplay.learner import (
     ClassifierSpec,
     MlpClassifier,
     TrainingDivergedError,
-    fit_batch,
     fit_offline,
 )
 from driftreplay.memory import LabeledInstance, NonFiniteFeatureError, RsbConfig, RsbMemory
@@ -37,10 +36,8 @@ from driftreplay.streams import (
     WARMUP_SUBCONCEPTS,
     GaussianStreamSpec,
     eval_pool,
-    next_batch,
     presented_rows,
     slice_rows,
-    warmup_instances,
 )
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
@@ -87,7 +84,7 @@ def test_run_seed_produces_offline_normalized_records():
     assert by_method["offline"].omega == 1.0
     rsb = by_method["rsb"]
     assert len(rsb.alphas) == 2  # one per stationary batch
-    assert rsb.offline_alphas == by_method["offline"].alphas
+    assert rsb.omega == omega_all(rsb.alphas, by_method["offline"].alphas)
     assert rsb.omega >= 0.0  # tiny config trains too briefly to bound tighter
 
 
@@ -502,7 +499,7 @@ def test_a_learner_pipe_ends_only_at_a_batch_boundary():
 RSB_MINIBATCHES = "efdcad0b0994ecd541203e8a4fb7d5eb232cc84ce133bb19f549715df3b133ef"
 
 
-def test_minibatches_yield_what_fit_batch_trains_on(monkeypatch):
+def test_minibatches_yield_what_the_learner_trains_on(monkeypatch):
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     yielded = hashlib.sha256()
     for _, _, batches in exp._cell_batches("rsb", config, dataset, schedule, seed):
@@ -519,12 +516,8 @@ def test_minibatches_yield_what_fit_batch_trains_on(monkeypatch):
         return real(self, X, y)
 
     monkeypatch.setattr(MlpClassifier, "train_minibatch", spy)
-    memory = exp._make_memory("rsb", config, rng_for(seed, "rsb", "memory"))
-    model = exp._new_model("rsb", config, dataset, seed)
-    rng, sched_rng = rng_for(seed, "rsb", "learner"), rng_for(seed, "schedule")
-    fit_batch(model, warmup_instances(schedule, dataset), memory, rng, batch_index=-1)
-    for t in range(len(schedule)):
-        fit_batch(model, next_batch(schedule, dataset, t, sched_rng), memory, rng, t)
+    exp._learn(exp._new_model("rsb", config, dataset, seed),
+               exp._cell_batches("rsb", config, dataset, schedule, seed), schedule, dataset)
     assert yielded.hexdigest() == trained.hexdigest() == RSB_MINIBATCHES
 
 

@@ -6,9 +6,12 @@ from driftreplay.learner import (
     ClassifierSpec,
     MlpClassifier,
     TrainingDivergedError,
-    fit_batch,
+    TrainRecord,
     fit_offline,
     gradient_check,
+    ingest_batch,
+    minibatches,
+    train_epochs,
 )
 from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
 
@@ -91,7 +94,7 @@ def test_training_separates_two_clusters():
     rng = np.random.default_rng(3)
     batch, X, y = separable_batch(rng)
     m = MlpClassifier(ClassifierSpec(input_dim=8, **SMALL), rng)
-    fit_batch(m, batch, rng=rng)
+    train_epochs(m, minibatches(*ingest_batch(batch), None, rng, m.spec))
     assert (m.predict_labels(X) == y).mean() >= 0.95
 
 
@@ -101,8 +104,8 @@ def test_epoch_losses_mostly_non_increasing():
         rng = np.random.default_rng(s)
         batch, _, _ = separable_batch(rng)
         m = MlpClassifier(ClassifierSpec(input_dim=8, **SMALL), rng)
-        rec = fit_batch(m, batch, rng=rng)
-        if np.all(np.diff(rec.epoch_losses) <= 1e-9):
+        epoch_losses, _ = train_epochs(m, minibatches(*ingest_batch(batch), None, rng, m.spec))
+        if np.all(np.diff(epoch_losses) <= 1e-9):
             ok += 1
     assert ok >= 18
 
@@ -116,30 +119,29 @@ def test_empty_replay_source_matches_replay_disabled(monkeypatch):
     m1 = MlpClassifier(spec, np.random.default_rng(9))
     m2 = MlpClassifier(spec, np.random.default_rng(9))
     mem = RsbMemory(RsbConfig(c_min=2, n_s=10**6), np.random.default_rng(0))
-    fit_batch(m1, [inst(i.features.copy(), i.label) for i in batch],
-              memory=None, rng=np.random.default_rng(5))
-    rec = fit_batch(m2, [inst(i.features.copy(), i.label) for i in batch],
-                    memory=mem, rng=np.random.default_rng(5))
+    for model, memory in ((m1, None), (m2, mem)):
+        X, y = ingest_batch([inst(i.features.copy(), i.label) for i in batch], memory)
+        trained = train_epochs(model, minibatches(X, y, memory, np.random.default_rng(5), spec))
     assert all(np.array_equal(a, b) for a, b in zip(m1.W + m1.b, m2.W + m2.b))
-    assert rec.replay_consumed == 0
+    assert TrainRecord.of(0, len(X), *trained).replay_consumed == 0
     assert sum(1 for _ in mem.all_centroids()) > 0  # memory still absorbed the batch
 
 
-def test_fit_batch_counts_replay_consumption():
+def test_train_record_counts_replay_consumption():
     rng = np.random.default_rng(8)
     batch, _, _ = separable_batch(rng, n=64)
     mem = RsbMemory(RsbConfig(c_min=2, n_s=10**6), np.random.default_rng(0))
     m = MlpClassifier(ClassifierSpec(input_dim=8, hidden_sizes=(8,), epochs_per_batch=2),
                       np.random.default_rng(0))
-    rec = fit_batch(m, batch, memory=mem, rng=rng)
+    X, y = ingest_batch(batch, mem)
+    rec = TrainRecord.of(0, len(X), *train_epochs(m, minibatches(X, y, mem, rng, m.spec)))
     assert rec.instances_consumed == 64
     assert rec.replay_consumed > 0
 
 
-def test_fit_batch_rejects_empty_batch():
-    m = MlpClassifier(ClassifierSpec(input_dim=2, hidden_sizes=(3,)), np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        fit_batch(m, [])
+def test_ingest_batch_rejects_empty_batch():
+    with pytest.raises(ValueError, match="batch must be non-empty"):
+        ingest_batch([])
 
 
 # ------------------------------------------------------------------- offline
@@ -157,13 +159,13 @@ def test_fit_offline_learns_and_is_deterministic():
                     np.random.default_rng(3))
 
 
-def test_fit_offline_trains_as_fit_batch_does_on_a_fresh_model():
+def test_fit_offline_trains_as_a_stream_batch_does_on_a_fresh_model():
     # the same epoch loop on the same rows, drawing the same numbers in order
     batch, X, y = separable_batch(np.random.default_rng(11), n=70)
     spec = ClassifierSpec(input_dim=8, **SMALL)
     rng = np.random.default_rng(4)
     fresh = MlpClassifier(spec, rng)
-    fit_batch(fresh, batch, rng=rng)
+    train_epochs(fresh, minibatches(*ingest_batch(batch), None, rng, spec))
     offline = fit_offline(spec, X, y, np.random.default_rng(4))
     assert offline._theta.tobytes() == fresh._theta.tobytes()
 

@@ -11,7 +11,9 @@ perfbench's own run length. Then it runs one traced run per side and
 workload. It writes ``BENCH_<slug>.json``
 with the environment of each side, every per-pair value, the medians with
 [Q1, Q3], how many pairs the change won, the per-layer metrics and the
-report digests. Each metric's summary says whether the change's gain is
+report digests. Each run's wall and CPU seconds (its process and every
+child it waited for) stand beside its operation counts, so a run the host
+paused shows as wall time far above its CPU time. Each metric's summary says whether the change's gain is
 beyond noise (``beyond_noise``, against ``parent_iqr``). An end-to-end
 metric's summary also says whether it got worse by more than its
 ``bound`` in ``BENCHMARK.json`` (``worse_beyond_bound``), and whether the
@@ -33,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -46,14 +49,23 @@ SEED = 2  # the held-out seed
 TIMEOUT_S = 900  # per perfbench run
 
 
+def cpu_of_children() -> float:
+    """User plus system seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_bench(checkout: Path, env: dict, workload: str, trace: int) -> dict:
-    """One perfbench run: its result, environment, digests and reference status."""
+    """One perfbench run: its result, environment, digests and reference
+    status, and its wall (``elapsed_s``) and CPU (``cpu_s``) seconds."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--trace", str(trace)]
+    cpu, t0 = cpu_of_children(), time.monotonic()
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
                           check=True, timeout=TIMEOUT_S)
     lines = proc.stdout.splitlines()
-    run = {"result": json.loads(lines[-1]), "digests": {}, "problems": []}
+    run = {"result": json.loads(lines[-1]), "digests": {}, "problems": [],
+           "elapsed_s": time.monotonic() - t0, "cpu_s": cpu_of_children() - cpu}
     for line in lines[:-1]:
         head, _, rest = line.partition(": ")
         if head == "environment":
@@ -160,9 +172,8 @@ def main(argv=None) -> int:
                            cwd=path, env=envs[side], check=True)
 
         def one(side, workload, trace, label):
-            t0 = time.monotonic()
             run = run_bench(checkouts[side], envs[side], workload, trace)
-            print(f"{label} {workload} {side}: {time.monotonic() - t0:.0f} s, "
+            print(f"{label} {workload} {side}: {run['elapsed_s']:.0f} s, "
                   f"correct={run['result']['correct']}", file=sys.stderr, flush=True)
             return run
 
@@ -205,6 +216,8 @@ def main(argv=None) -> int:
             "summary": summarise(pairs, better, bounds),
             "ops": {side: [{k: p[side]["result"][k] for k in ("correct", "attempted", "failed")}
                            for p in runs[workload]] for side in SIDES},
+            "seconds": {side: [{k: p[side][k] for k in ("elapsed_s", "cpu_s")}
+                               for p in runs[workload]] for side in SIDES},
             "digests": digests,
             "digests_equal": len(digests["parent"]) == 1 and digests["parent"] == digests["change"],
             "reference_digests": {side: traced[workload][side].get("reference_digests")
