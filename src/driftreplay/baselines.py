@@ -3,14 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .memory import (
-    LabeledInstance,
-    MemoryEvent,
-    RsbConfig,
-    _CentroidMemory,
-    find_nearest,
-    within_bounds,
-)
+from .memory import LabeledInstance, MemoryEvent, _CentroidMemory
 
 
 class ClassBuffer:
@@ -61,22 +54,12 @@ def cb_sample(buffer: ClassBuffer, k: int, rng: np.random.Generator) -> list[Lab
 class StaticCentroidMemory(_CentroidMemory):
     """Centroid memory without reactivity: labels never change, nothing is removed.
 
-    Shares the bootstrap, containment rule and reservoir buffers with the
-    reactive memory so that comparisons isolate the reactivity alone.
+    Its ingest is the reactive memory's own-label placement and nothing else
+    (bootstrap below c_min, the containment rule, c_max, reservoir buffers),
+    so that comparisons isolate the reactivity alone.
     """
 
     purity_gated = False
 
     def ingest(self, instance: LabeledInstance) -> MemoryEvent:
-        x = self._validate(instance)
-        y = instance.label
-        own = self.centroids.get(y, [])
-        if len(own) < self.config.c_min:
-            c = self._create(instance)
-            return MemoryEvent("created", c.id, y, "bootstrap")
-        c = find_nearest(own, x)
-        if within_bounds(c, x, self.config.sigma_k) or len(own) >= self.config.c_max:
-            self._assign(c, instance)
-            return MemoryEvent("updated", c.id, c.label)
-        c = self._create(instance)
-        return MemoryEvent("created", c.id, y)
+        return self._place(instance, self._validate(instance))[1]

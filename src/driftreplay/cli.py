@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import os
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 from .experiment import ExperimentConfig, build_inputs, run_experiment
 from .streams import (FeatureFileError, FeatureRangeError, GaussianStreamSpec, ScheduleError,
@@ -92,6 +94,29 @@ def _refused_line(cls, entries, fixed) -> UsageError | None:
     return error
 
 
+def refuse_unwritable(path, directory: bool):
+    """Refuse an output path that cannot be written, creating nothing: a
+    directory must exist or be one ``mkdir(parents=True)`` can make, and a
+    file must go into an existing directory. The error reads
+    ``<path>: cannot write: <strerror>``."""
+    target = Path(path)
+    home = target if directory else target.parent
+    found = home  # the nearest existing directory, or what stands in its way
+    while not found.exists() and found != found.parent:
+        found = found.parent
+    if target.exists() and target.is_dir() != directory:
+        code = errno.EEXIST if directory else errno.EISDIR
+    elif not found.is_dir():
+        code = errno.ENOTDIR
+    elif found != home and not directory:
+        code = errno.ENOENT
+    elif not os.access(target if target.exists() else found, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise UsageError(f"{path}: cannot write: {os.strerror(code)}")
+
+
 def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", dest="config_file", help="key=value config file")
     for f in fields(ExperimentConfig):
@@ -106,6 +131,7 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
 
     A refusal a config-file line causes under the flags names its file and
     line; a refusal the flags cause on their own keeps its plain message.
+    An output directory that cannot be written is refused here too.
     """
     entries = []
     if args.config_file:
@@ -117,10 +143,12 @@ def parse_config(args: argparse.Namespace) -> ExperimentConfig:
     if "out_dir" not in from_file and "out_dir" not in fixed and os.environ.get(OUT_DIR_ENV):
         fixed["out_dir"] = os.environ[OUT_DIR_ENV]
     try:
-        return ExperimentConfig(**{**from_file, **fixed})
+        config = ExperimentConfig(**{**from_file, **fixed})
     except ValueError as exc:
         raise (_refused_line(ExperimentConfig, entries, fixed)
                or UsageError(str(exc))) from exc
+    refuse_unwritable(config.out_dir, directory=True)
+    return config
 
 
 def cmd_run(args) -> int:
@@ -143,6 +171,7 @@ def cmd_gen_data(args) -> int:
     except ValueError as exc:
         raise (_refused_line(GaussianStreamSpec, entries, {})
                or UsageError(f"{args.spec}: {exc}")) from exc
+    refuse_unwritable(args.out, directory=False)
     save_features(generate_gaussian(spec), args.out)
     print(f"wrote {args.out}")
     return 0

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .memory import require_positive
 from .replay import oversample_balance, sample_replay
 
 
@@ -34,8 +35,7 @@ class ClassifierSpec:
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h <= 0 for h in self.hidden_sizes):
             raise ValueError("hidden sizes must be positive")
-        if self.epochs_per_batch <= 0 or self.minibatch_size <= 0:
-            raise ValueError("epochs_per_batch and minibatch_size must be positive")
+        require_positive(self, "epochs_per_batch", "minibatch_size")
 
 
 @dataclass

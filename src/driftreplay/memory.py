@@ -18,6 +18,13 @@ VAR_FLOOR = 1e-9
 MAX_FEATURE_ABS = 1e100
 
 
+def require_positive(spec, *names):
+    """Refuse the first of the named fields of ``spec`` that is not positive, by its name."""
+    for name in names:
+        if getattr(spec, name) <= 0:
+            raise ValueError(f"{name} must be positive")
+
+
 class DimensionMismatchError(ValueError):
     pass
 
@@ -83,14 +90,12 @@ class RsbConfig:
             self.c_min = max(1, self.c_max // 2)
         if self.c_min <= 0 or self.c_max <= 0 or self.c_min > self.c_max:
             raise ValueError(f"need 0 < c_min <= c_max, got {self.c_min}, {self.c_max}")
-        if self.b_max <= 0 or self.omega_max <= 0 or self.n_s <= 0:
-            raise ValueError("b_max, omega_max and n_s must be positive")
+        require_positive(self, "b_max", "omega_max", "n_s")
         if self.tau_s < 0:
             raise ValueError("tau_s must be non-negative")
         if not 0.0 <= self.alpha_r <= 1.0:
             raise ValueError("alpha_r must lie in [0, 1]")
-        if self.beta <= 0 or self.sigma_k <= 0:
-            raise ValueError("beta and sigma_k must be positive")
+        require_positive(self, "beta", "sigma_k")
         if not 0.0 < self.switch_fraction <= 1.0:
             raise ValueError("switch_fraction must lie in (0, 1]")
 
@@ -289,6 +294,23 @@ class _CentroidMemory:
         c.registered_since_maintenance += 1
         c.window_updates_since_tick += 1
 
+    def _place(self, instance: LabeledInstance, x: np.ndarray):
+        """Place an instance among its own label's centroids; return the centroid
+        and its event. Below c_min centroids the label gets a new one
+        (bootstrap). Otherwise the instance joins the nearest if x is within
+        its bounds or the label is at c_max, and starts a new one if not."""
+        y = instance.label
+        own = self.centroids.get(y, [])
+        if len(own) < self.config.c_min:
+            c = self._create(instance)
+            return c, MemoryEvent("created", c.id, y, "bootstrap")
+        c = find_nearest(own, x)
+        if within_bounds(c, x, self.config.sigma_k) or len(own) >= self.config.c_max:
+            self._assign(c, instance)
+            return c, MemoryEvent("updated", c.id, y)
+        c = self._create(instance)
+        return c, MemoryEvent("created", c.id, y)
+
 
 class RsbMemory(_CentroidMemory):
     """Reactive subspace memory: centroids switch, split and get removed as drift hits."""
@@ -303,31 +325,21 @@ class RsbMemory(_CentroidMemory):
         x = self._validate(instance)
         events: list[MemoryEvent] = []
         self.stream_counter += 1
-        y = instance.label
-        own = self.centroids.get(y, [])
-        if len(own) < self.config.c_min:
-            touched = self._create(instance)
-            events.append(MemoryEvent("created", touched.id, y, "bootstrap"))
+        # past bootstrap, the nearest centroid of any label may take the instance
+        cx = (find_nearest(self.all_centroids(), x)
+              if len(self.centroids.get(instance.label, [])) >= self.config.c_min else None)
+        if cx is not None and cx.label == instance.label:
+            self._assign(cx, instance)
+            touched = cx
+            events.append(MemoryEvent("updated", cx.id, cx.label))
+        elif cx is not None and within_bounds(cx, x, self.config.sigma_k):
+            cx.window.push(instance)
+            cx.window_updates_since_tick += 1
+            touched = cx
+            self._switch(cx, events)
         else:
-            cx = find_nearest(self.all_centroids(), x)
-            if cx.label == y:
-                self._assign(cx, instance)
-                touched = cx
-                events.append(MemoryEvent("updated", cx.id, cx.label))
-            elif within_bounds(cx, x, self.config.sigma_k):
-                cx.window.push(instance)
-                cx.window_updates_since_tick += 1
-                touched = cx
-                self._switch(cx, events)
-            else:
-                cyx = find_nearest(own, x)
-                if within_bounds(cyx, x, self.config.sigma_k) or len(own) >= self.config.c_max:
-                    self._assign(cyx, instance)
-                    touched = cyx
-                    events.append(MemoryEvent("updated", cyx.id, cyx.label))
-                else:
-                    touched = self._create(instance)
-                    events.append(MemoryEvent("created", touched.id, y))
+            touched, event = self._place(instance, x)
+            events.append(event)
         if self.config.per_centroid_maintenance:
             if touched.window.cumulative_updates % self.config.n_s == 0:
                 events.extend(self.maintenance([touched]))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .memory import MAX_FEATURE_ABS, LabeledInstance
+from .memory import MAX_FEATURE_ABS, LabeledInstance, require_positive
 
 # The warm-up: the first fraction of these subconcepts' training rows,
 # presented before batch 0 under their base labels.
@@ -179,12 +179,9 @@ class GaussianStreamSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subconcepts < 2 or self.dim <= 0:
-            raise ValueError("need >= 2 subconcepts and positive dim")
-        if self.std <= 0 or self.separation <= 0:
-            raise ValueError("std and separation must be positive")
-        if self.train_per <= 0 or self.test_per <= 0:
-            raise ValueError("train_per and test_per must be positive")
+        if self.n_subconcepts < 2:
+            raise ValueError("n_subconcepts must be at least 2")
+        require_positive(self, "dim", "std", "separation", "train_per", "test_per")
 
 
 def generate_gaussian(spec: GaussianStreamSpec) -> SubconceptDataset:

@@ -99,10 +99,14 @@ FAKE_TABLE = {"workloads": [{"name": "w"}], "per_layer": [],
               "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
 
 
-def commit_fake_checkout(repo, wall):
+def commit_fake_checkout(repo, wall, modules=()):
+    """Commit a checkout whose run reports ``wall``, with one package module
+    of n lines per n in ``modules``."""
     (repo / "perfbench").mkdir(exist_ok=True)
-    (repo / "src").mkdir(exist_ok=True)
+    (repo / "src" / "driftreplay").mkdir(parents=True, exist_ok=True)
     (repo / "src" / "empty.py").write_text("")
+    for i, n in enumerate(modules):
+        (repo / "src" / "driftreplay" / f"m{i}.py").write_text("x = 1\n" * n)
     (repo / "perfbench" / "run.py").write_text(FAKE_RUN.replace("WALL", str(wall)))
     (repo / "BENCHMARK.json").write_text(json.dumps(FAKE_TABLE))
     git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@example.com"]
@@ -135,6 +139,22 @@ def test_git_revisions_are_exported_and_their_commits_recorded(tmp_path, monkeyp
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", "no-such-rev", "--change", "HEAD", "--out", str(out)])
     assert exc.value.code == 2
+
+
+def test_each_side_records_its_package_line_count(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    first = commit_fake_checkout(repo, 2.0, modules=(3, 4))
+    (repo / "src" / "driftreplay" / "notes.txt").write_text("not a module\n")
+    commit_fake_checkout(repo, 1.0, modules=(2,))  # m1.py stays, with its 4 lines
+    monkeypatch.chdir(repo)
+    monkeypatch.setattr(bench_pairs, "PAIRS", 2)
+    out = tmp_path / "BENCH_x.json"
+    assert bench_pairs.main(["--parent", first, "--change", str(repo), "--out", str(out)]) == 0
+    environment = json.loads(out.read_text())["environment"]
+    assert environment["parent"]["src_lines"] == 7
+    assert environment["change"]["src_lines"] == 6
 
 
 def test_each_run_records_its_wall_and_cpu_seconds(tmp_path):

@@ -1,14 +1,18 @@
 """Unit tests for the command line front end."""
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from driftreplay.cli import build_parser, field_parsers, main, parse_config, read_kv_entries
+import driftreplay.cli as cli
+import driftreplay.experiment as exp
+from driftreplay.cli import (OUT_DIR_ENV, build_parser, field_parsers, main, parse_config,
+                             read_kv_entries)
 from driftreplay.experiment import ExperimentConfig
 from driftreplay.memory import RsbConfig
-from driftreplay.streams import load_features
+from driftreplay.streams import GaussianStreamSpec, load_features
 
 
 def parse_run(argv):
@@ -410,6 +414,95 @@ def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, t
     assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: line {blamed}")
 
 
+# every knob a spec refuses on its own: the refused value and the message after its name
+KNOBS = {**{knob: ("0", "must be positive") for knob in (
+    "b_max", "omega_max", "n_s", "beta", "sigma_k", "epochs_per_batch", "minibatch_size",
+    "dim", "std", "separation", "train_per", "test_per")},
+    "n_subconcepts": ("1", "must be at least 2")}
+SPEC_KNOBS = {f.name for f in fields(GaussianStreamSpec)}
+
+
+@pytest.mark.parametrize("knob", sorted(KNOBS))
+def test_a_refused_knob_is_named_alone(knob, tmp_path, capsys):
+    value, message = KNOBS[knob]
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--" + knob.replace("_", "-"), value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {knob} {message}\n"
+    cfg = write(tmp_path / "b.cfg", f"# knobs\n{knob}={value}\n")
+    commands = [["validate", "--config", cfg]]
+    if knob in SPEC_KNOBS:
+        commands.append(["gen-data", "--spec", cfg, "--out", str(tmp_path / "f.txt")])
+    for argv in commands:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == f"error: {cfg}: line 2: {knob}: {message}\n"
+    assert not (tmp_path / "f.txt").exists()
+
+
+def no_work(*args):
+    raise AssertionError("work began before the output was checked")
+
+
+# per command: its argv under a directory d, the refused path, and its strerror
+UNWRITABLE = {
+    "gen-data": lambda d: (["gen-data", "--spec", write(d / "d.cfg", "dim=2\n"),
+                            "--out", str(d / "missing" / "f.txt")],
+                           d / "missing" / "f.txt", "No such file or directory"),
+    "run": lambda d: (["run", *FAST, "--out", str(d / "afile" / "sub")],
+                      d / "afile" / "sub", "Not a directory"),
+    "validate": lambda d: (["validate", *FAST], d / "afile" / "sub", "Not a directory"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNWRITABLE))
+def test_an_unwritable_output_is_refused_before_any_work(command, tmp_path, monkeypatch,
+                                                          capsys):
+    write(tmp_path / "afile", "")
+    argv, path, strerror = UNWRITABLE[command](tmp_path)
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "afile" / "sub"))  # validate's --out
+    for module, name in ((exp, "run_seed"), (cli, "build_inputs"), (cli, "generate_gaussian")):
+        monkeypatch.setattr(module, name, no_work)
+    before = sorted(tmp_path.rglob("*"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {path}: cannot write: {strerror}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing created
+
+
+# per case: the path under a directory d, whether it is a directory, and its strerror
+OUTPUTS = {
+    "file as directory": (lambda d: d / "afile", True, "File exists"),
+    "directory as file": (lambda d: d, False, "Is a directory"),
+    "under a file": (lambda d: d / "afile" / "f.txt", False, "Not a directory"),
+    "missing directory": (lambda d: d / "missing" / "f.txt", False, "No such file or directory"),
+    "new directories": (lambda d: d / "new" / "sub", True, None),
+    "new file": (lambda d: d / "f.txt", False, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTPUTS))
+def test_refuse_unwritable_creates_nothing(case, tmp_path):
+    write(tmp_path / "afile", "")
+    path, directory, strerror = OUTPUTS[case]
+    path = path(tmp_path)
+    if strerror is None:
+        cli.refuse_unwritable(path, directory)
+    else:
+        with pytest.raises(cli.UsageError, match=f"^{re.escape(str(path))}: cannot write: "
+                                                 f"{strerror}$"):
+            cli.refuse_unwritable(path, directory)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_refuse_unwritable_refuses_a_directory_without_write_access(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    with pytest.raises(cli.UsageError, match=": cannot write: Permission denied$"):
+        cli.refuse_unwritable(tmp_path / "out", True)
+
+
 def test_config_values_are_judged_together_and_flags_keep_their_message(tmp_path, capsys):
     # c_min=20 is refused under the default c_max=10 until the next line raises it
     cfg = write(tmp_path / "b.cfg", "c_min=20\nc_max=30\n")
@@ -455,7 +548,7 @@ def test_a_flag_refusal_blames_no_file_line(text, flags, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["validate", "--config", cfg, *flags])
     assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: need >= 2 subconcepts and positive dim\n"
+    assert capsys.readouterr().err == "error: dim must be positive\n"
 
 
 @pytest.mark.parametrize("flag, value", [("--tau-s", "nan"), ("--learning-rate", "nan"),
@@ -491,7 +584,7 @@ def test_file_dataset_skips_the_synthetic_data_checks(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # synthetic data still needs a positive std
         main(["run", *FAST, "--std", "-1", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.strip() == "error: std and separation must be positive"
+    assert capsys.readouterr().err.strip() == "error: std must be positive"
     assert not (tmp_path / "x").exists()
 
 

@@ -216,6 +216,24 @@ def test_benchmark_trace_hooks_find_every_wrapped_name(monkeypatch):
     assert not hasattr(exp.fit_offline, "__wrapped__")
 
 
+def test_a_traced_sb_run_counts_its_nearest_scans(monkeypatch):
+    # sb places through the memory's own find_nearest, so the trace sees its scans
+    monkeypatch.syspath_prepend(str(REFERENCE.parent))
+    import spans
+
+    tracer = spans.Tracer()
+    config = ExperimentConfig(methods=("sb",), **FAST)
+    dataset, schedule = exp.build_inputs(config, 3)
+    ones = [1.0] * len(schedule)
+    report_cpus(monkeypatch, 1)
+    with spans.traced(tracer):
+        exp.run_method("sb", config, dataset, schedule, 3, ones, [{} for _ in ones])
+    counts = tracer.counts
+    assert counts["baselines.sb_ingest.n"] > 0 and counts["memory.ingest.n"] == 0
+    assert counts["memory.find_nearest.n"] > 0
+    assert counts["memory.find_nearest.scanned"] >= counts["memory.find_nearest.n"]
+
+
 # ------------------------------------------------- offline reference shares
 
 # perfbench's tiny-drift self-test config and acceptance criterion 9's

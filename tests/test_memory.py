@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from driftreplay.baselines import StaticCentroidMemory
 from driftreplay.memory import (
     DimensionMismatchError,
     EmptyMemoryError,
@@ -556,6 +557,21 @@ def assert_memory_invariants(mem, events=(), before=None):
             assert before.get(e.label, 0) < cfg.c_max
 
 
+def assert_static_memory_invariants(mem, stream):
+    """Ingest the stream into a StaticCentroidMemory and check after each ingest
+    the shared invariants and its own: it only creates and updates, no
+    centroid ever changes label, and no label holds more than c_max."""
+    labels = {}
+    for instance in stream:
+        before = group_sizes(mem)
+        event = mem.ingest(instance)
+        assert event.kind in ("created", "updated")
+        assert_memory_invariants(mem, [event], before)
+        for c in mem.all_centroids():
+            assert labels.setdefault(c.id, c.label) == c.label
+        assert max(group_sizes(mem).values()) <= mem.config.c_max
+
+
 def label_flip_stream(seed):
     """3000 draws from six unit-variance 2-D subconcepts 3.0 apart; one flips its label every 500."""
     rng = np.random.default_rng(seed)
@@ -572,8 +588,12 @@ def label_flip_stream(seed):
 @pytest.mark.parametrize("per_centroid", [False, True])
 @pytest.mark.parametrize("seed", range(5))
 def test_invariants_hold_on_label_flip_streams(seed, per_centroid):
-    mem = make_memory(seed=seed, c_max=6, c_min=2, omega_max=30, b_max=20, n_s=60,
-                      per_centroid_maintenance=per_centroid)
+    knobs = dict(c_max=6, c_min=2, omega_max=30, b_max=20, n_s=60)
+    if not per_centroid:  # sb runs no maintenance, so one cadence covers it
+        assert_static_memory_invariants(
+            StaticCentroidMemory(RsbConfig(**knobs), np.random.default_rng(seed)),
+            label_flip_stream(seed))
+    mem = make_memory(seed=seed, per_centroid_maintenance=per_centroid, **knobs)
     kinds = set()
     for instance in label_flip_stream(seed):
         before = group_sizes(mem)

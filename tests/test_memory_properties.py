@@ -1,8 +1,9 @@
-"""Property-based checks of the centroid memory's structural invariants.
+"""Property-based checks of the centroid memories' structural invariants.
 
 Hypothesis draws the memory's knobs and a label-flip stream; the
 invariants of `test_memory.assert_memory_invariants` must hold after
-every ingest, in both maintenance modes.
+every ingest of the reactive memory, in both maintenance modes, and of the
+static one, which also keeps its own (`assert_static_memory_invariants`).
 """
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+from driftreplay.baselines import StaticCentroidMemory
 from driftreplay.memory import LabeledInstance, RsbConfig, RsbMemory
-from test_memory import assert_memory_invariants, group_sizes
+from test_memory import assert_memory_invariants, assert_static_memory_invariants, group_sizes
 
 N_SUB = 6
 STEPS = 300
@@ -57,3 +59,7 @@ def test_invariants_hold_on_random_flip_streams(per_centroid, knobs, seed, flips
         before = group_sizes(mem)
         events = mem.ingest(instance)
         assert_memory_invariants(mem, events, before)
+    # sb ignores the cadence; each parameter's run draws its own knobs for it
+    assert_static_memory_invariants(
+        StaticCentroidMemory(RsbConfig(**knobs), np.random.default_rng(seed)),
+        flip_stream(seed, flips))

@@ -9,7 +9,8 @@ one after the other, alternating which side goes first, so that a slow
 stretch of the machine falls on both sides in turn. Each run lasts
 perfbench's own run length. Then it runs one traced run per side and
 workload. It writes ``BENCH_<slug>.json``
-with the environment of each side, every per-pair value, the medians with
+with the environment of each side (with ``src_lines``, the line count of
+its ``src/driftreplay/*.py``), every per-pair value, the medians with
 [Q1, Q3], how many pairs the change won, the per-layer metrics and the
 report digests. Each run's wall and CPU seconds (its process and every
 child it waited for) stand beside its operation counts, so a run the host
@@ -77,6 +78,12 @@ def run_bench(checkout: Path, env: dict, workload: str, trace: int) -> dict:
         elif head == "problem" or head.startswith("failed cell "):
             run["problems"].append(line)
     return run
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the package's modules, ``src/driftreplay/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "driftreplay").glob("*.py"))
 
 
 def export_revision(revision: str, into: Path) -> str:
@@ -155,6 +162,7 @@ def main(argv=None) -> int:
         for side, path in checkouts.items():
             if not (path / "perfbench" / "run.py").is_file():
                 parser.error(f"--{side} {path} holds no perfbench/run.py")
+        lines = {side: src_lines(path) for side, path in checkouts.items()}
         table = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in table["workloads"]]
         better = {m["name"]: m["better"] for m in table["end_to_end"] + table["per_layer"]}
@@ -197,6 +205,7 @@ def main(argv=None) -> int:
         },
         # an exported revision has no .git from which perfbench could read its commit
         "environment": {side: {**runs[workloads[0]][0][side]["environment"],
+                               "src_lines": lines[side],
                                **({"git_commit": commits[side]} if side in commits else {})}
                         for side in SIDES},
         "workloads": {},
