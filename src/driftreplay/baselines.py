@@ -54,9 +54,9 @@ def cb_sample(buffer: ClassBuffer, k: int, rng: np.random.Generator) -> list[Lab
 class StaticCentroidMemory(_CentroidMemory):
     """Centroid memory without reactivity: labels never change, nothing is removed.
 
-    Its ingest is the reactive memory's own-label placement and nothing else
-    (bootstrap below c_min, the containment rule, c_max, reservoir buffers),
-    so that comparisons isolate the reactivity alone.
+    Its ingest is the reactive memory's own-label placement
+    (``_CentroidMemory._place``) and nothing else, so that comparisons
+    isolate the reactivity alone.
     """
 
     purity_gated = False
