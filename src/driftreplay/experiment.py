@@ -15,7 +15,6 @@ from .evaluation import MetricsRecord, emit_report, evaluate_batch, omega_all
 from .learner import (
     ClassifierSpec,
     MlpClassifier,
-    TrainRecord,
     fit_offline,
     ingest_batch,
     minibatches,
@@ -98,6 +97,8 @@ class ExperimentConfig:
         if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
             raise ValueError("seeds must be distinct and non-negative, got "
                              + ",".join(map(str, self.seeds)))
+        if len(set(self.methods)) < len(self.methods):
+            raise ValueError("methods must be distinct, got " + ",".join(self.methods))
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
         if unknown:
             raise ValueError(f"unknown methods: {unknown}")
@@ -128,7 +129,7 @@ class ExperimentConfig:
 def rng_for(seed: int, *names: str) -> np.random.Generator:
     """Independent named substream; adding streams never perturbs existing ones."""
     tags = [zlib.crc32(n.encode("utf-8")) for n in names]
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *tags]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *tags]))
 
 
 def build_dataset(config: ExperimentConfig, seed: int):
@@ -293,7 +294,7 @@ def _cell_batches(method: str, config: ExperimentConfig, dataset, schedule, seed
     """The stream side of a method cell, one batch at a time.
 
     For the warm-up (t = -1), if there is one, and then each batch t, the
-    memory ingests the batch and ``(t, n_rows, minibatches)`` is yielded;
+    memory ingests the batch and ``(t, minibatches)`` is yielded;
     the minibatches draw their replay as they are consumed. Nothing here
     reads the model.
     """
@@ -304,7 +305,7 @@ def _cell_batches(method: str, config: ExperimentConfig, dataset, schedule, seed
 
     def ingested(t, instances):
         X, y = ingest_batch(instances, memory)
-        return t, len(X), minibatches(X, y, memory, train_rng, spec)
+        return t, minibatches(X, y, memory, train_rng, spec)
 
     warm = warmup_instances(schedule, dataset)
     if warm:
@@ -316,18 +317,18 @@ def _cell_batches(method: str, config: ExperimentConfig, dataset, schedule, seed
 def _learn(model: MlpClassifier, cell, schedule, dataset):
     """Train the model on each batch ``cell`` yields, evaluating it after
     every batch but the warm-up; return the (accuracy, per-subconcept
-    accuracy) of each batch and the TrainRecord of each, warm-up included."""
-    evaluations, records = [], []
-    for t, n_rows, batches in cell:
-        records.append(TrainRecord.of(t, n_rows, *train_epochs(model, batches)))
+    accuracy) of each evaluated batch."""
+    evaluations = []
+    for t, batches in cell:
+        train_epochs(model, batches)
         if t >= 0:
             evaluations.append(evaluate_batch(model.predict_labels,
                                               eval_pool(schedule, dataset, t)))
-    return evaluations, records
+    return evaluations
 
 
 def _received_cell(pipe):
-    """What ``_learn_in_child`` sends: one pickled ``(t, n_rows, batches)``
+    """What ``_learn_in_child`` sends: one pickled ``(t, batches)``
     per batch until the pipe ends. The cell ends only at a batch boundary;
     a pipe cut inside a pickle raises from ``pickle.load``."""
     while pipe.peek(1):
@@ -363,8 +364,8 @@ def _learn_in_child(method: str, config: ExperimentConfig, dataset, schedule, se
     try:
         # opened only now, so that the child inherits no Python buffer
         with open(write_fd, "wb") as pipe:
-            for t, n_rows, batches in _cell_batches(method, config, dataset, schedule, seed):
-                pickle.dump((t, n_rows, list(batches)), pipe, pickle.HIGHEST_PROTOCOL)
+            for t, batches in _cell_batches(method, config, dataset, schedule, seed):
+                pickle.dump((t, list(batches)), pipe, pickle.HIGHEST_PROTOCOL)
                 pipe.flush()
     except BrokenPipeError:  # the child stopped reading; its outcome says why
         pass
@@ -388,11 +389,11 @@ def run_method(method: str, config: ExperimentConfig, dataset, schedule, seed: i
                              [dict(p) for p in offline_per_sub],
                              omega_all(offline_alphas, offline_alphas))
     if _cpus() >= 2:
-        evaluations, _ = _learn_in_child(method, config, dataset, schedule, seed)
+        evaluations = _learn_in_child(method, config, dataset, schedule, seed)
     else:
-        evaluations, _ = _learn(_new_model(method, config, dataset, seed),
-                                _cell_batches(method, config, dataset, schedule, seed),
-                                schedule, dataset)
+        evaluations = _learn(_new_model(method, config, dataset, seed),
+                             _cell_batches(method, config, dataset, schedule, seed),
+                             schedule, dataset)
     alphas = [a for a, _ in evaluations]
     return MetricsRecord(method, seed, alphas, [ps for _, ps in evaluations],
                          omega_all(alphas, offline_alphas))

@@ -6,7 +6,7 @@ against central finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,22 +34,10 @@ class ClassifierSpec:
             raise ValueError("input_dim must be positive")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h <= 0 for h in self.hidden_sizes):
-            raise ValueError("hidden sizes must be positive")
+            raise ValueError("hidden_sizes must be positive")
         require_positive(self, "epochs_per_batch", "minibatch_size")
-
-
-@dataclass
-class TrainRecord:
-    batch_index: int
-    epoch_losses: list = field(default_factory=list)
-    instances_consumed: int = 0
-    replay_consumed: int = 0
-
-    @classmethod
-    def of(cls, batch_index: int, n_rows: int, epoch_losses: list, rows_trained: int):
-        """The record of a batch of n_rows stream rows; each epoch presents
-        each of them once, so every other row trained was replay."""
-        return cls(batch_index, epoch_losses, n_rows, rows_trained - len(epoch_losses) * n_rows)
+        if self.learning_rate < 0:
+            raise ValueError("learning_rate must be non-negative")
 
 
 def _softmax(z):
@@ -200,14 +188,14 @@ def ingest_batch(batch, memory=None):
 
 
 def minibatches(X, y, memory, rng: np.random.Generator, spec: ClassifierSpec):
-    """Yield (epoch, bx, by) for every minibatch of one batch's epochs.
+    """Yield (bx, by) for every minibatch of one batch's epochs.
 
     Each epoch shuffles the rows and steps through them in minibatches,
     each topped up with replay when there is a memory. Every random draw
     and every replay assembly happens here, in the order the minibatches
     come out; none depends on a model, so they can be trained elsewhere.
     """
-    for epoch in range(spec.epochs_per_batch):
+    for _ in range(spec.epochs_per_batch):
         order = rng.permutation(len(X))
         for start in range(0, len(X), spec.minibatch_size):
             idx = order[start:start + spec.minibatch_size]
@@ -218,18 +206,13 @@ def minibatches(X, y, memory, rng: np.random.Generator, spec: ClassifierSpec):
                     ex, ey = _to_arrays(extra)
                     bx = np.concatenate([bx, ex])
                     by = np.concatenate([by, ey])
-            yield epoch, bx, by
+            yield bx, by
 
 
-def train_epochs(model: MlpClassifier, batches) -> tuple[list, int]:
-    """Train on each (epoch, bx, by) of ``batches`` in order; return the
-    mean minibatch loss of each epoch and the number of rows trained."""
-    losses = {}
-    rows = 0
-    for epoch, bx, by in batches:
-        losses.setdefault(epoch, []).append(model.train_minibatch(bx, by))
-        rows += len(bx)
-    return [float(np.mean(ls)) for ls in losses.values()], rows
+def train_epochs(model: MlpClassifier, batches):
+    """Train on each (bx, by) of ``batches`` in order."""
+    for bx, by in batches:
+        model.train_minibatch(bx, by)
 
 
 def fit_offline(spec: ClassifierSpec, X, y, rng: np.random.Generator) -> MlpClassifier:

@@ -89,6 +89,26 @@ def test_a_spread_wider_than_the_bound_is_unresolved(parent, change, unresolved)
         pairs_of(parent, change), {"wall_s": "lower"})["wall_s"]  # no bound, no verdict
 
 
+def test_ratios_divide_by_the_same_runs_offline_time():
+    # the host runs every other pair 1.5x slower, and the change is 10% faster
+    speed = [1.0, 1.5] * 5
+    pairs = [{"first": "parent",
+              "parent": {"rsb_s": 0.2 * k, "sb_s": 0.1 * k, "offline_s": 0.4 * k, "wall_s": 1.0},
+              "change": {"rsb_s": 0.18 * k, "sb_s": 0.09 * k, "offline_s": 0.4 * k}}
+             for k in speed]
+    ratios = bench_pairs.offline_ratios(pairs)
+    assert ratios[1]["parent"] == {"rsb_s/offline_s": pytest.approx(0.5),
+                                   "sb_s/offline_s": pytest.approx(0.25)}
+    s = bench_pairs.summarise(ratios, {"rsb_s/offline_s": "lower", "sb_s/offline_s": "lower"})
+    rsb = s["rsb_s/offline_s"]
+    assert rsb["parent"]["median"] == pytest.approx(0.5)
+    assert rsb["change"]["median"] == pytest.approx(0.45)
+    assert rsb["parent_iqr"] == pytest.approx(0.0)
+    assert rsb["change_wins"] == 10 and rsb["beyond_noise"] is True
+    assert "worse_beyond_bound" not in rsb and "unresolved" not in rsb
+    assert bench_pairs.offline_ratios(pairs_of(PARENT, PARENT))[0]["parent"] == {}
+
+
 # a perfbench stand-in: one metric whose value the committed tree sets
 FAKE_RUN = '''import json
 print("environment: " + json.dumps({"git_commit": "unknown"}))

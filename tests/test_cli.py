@@ -418,7 +418,9 @@ def test_value_the_config_refuses_names_its_file_and_line(text, flags, blamed, t
 KNOBS = {**{knob: ("0", "must be positive") for knob in (
     "b_max", "omega_max", "n_s", "beta", "sigma_k", "epochs_per_batch", "minibatch_size",
     "dim", "std", "separation", "train_per", "test_per")},
-    "n_subconcepts": ("1", "must be at least 2")}
+    "n_subconcepts": ("1", "must be at least 2"),
+    "learning_rate": ("-1", "must be non-negative"),
+    "hidden_sizes": ("0", "must be positive")}
 SPEC_KNOBS = {f.name for f in fields(GaussianStreamSpec)}
 
 
@@ -536,6 +538,25 @@ def test_repeated_seeds_in_a_config_file_name_its_line(tmp_path, capsys):
     assert exc.value.code == 2
     assert capsys.readouterr().err == (f"error: {cfg}: line 2: seeds: must be distinct and "
                                        "non-negative, got 2,2\n")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_repeated_methods_are_refused(command, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *FAST, "--methods", "rsb,rsb,offline", "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: methods must be distinct, got rsb,rsb,offline\n"
+    assert not (tmp_path / "x").exists()
+
+
+def test_repeated_methods_in_a_config_file_name_its_line(tmp_path, capsys):
+    cfg = write(tmp_path / "b.cfg", "# run\nmethods=rsb,rsb\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: line 2: methods: must be distinct, "
+                                       "got rsb,rsb\n")
     assert not (tmp_path / "x").exists()
 
 

@@ -74,6 +74,10 @@ def test_named_substreams_are_independent_and_stable():
     assert not np.array_equal(a, c)
     # adding a differently named stream never perturbs existing ones
     assert np.array_equal(a, rng_for(5, "schedule").random(4))
+    # seeds that agree in their low 32 bits draw their own streams
+    for names in (("schedule",), ("rsb", "memory"), ("rsb", "learner"), ("offline", "0")):
+        assert not np.array_equal(rng_for(1, *names).random(4),
+                                  rng_for(2**32 + 1, *names).random(4))
 
 
 def test_run_seed_produces_offline_normalized_records():
@@ -476,7 +480,7 @@ def test_method_records_are_identical_on_any_cpu_count(monkeypatch, name):
     assert by_cpus[2] == by_cpus[3] == by_cpus[64] == by_cpus[1]
 
 
-def test_piped_train_records_match_the_calling_process(monkeypatch):
+def test_piped_evaluations_match_the_calling_process(monkeypatch):
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     piped = exp._learn_in_child("rsb", config, dataset, schedule, seed)
     assert_no_child_left()
@@ -484,25 +488,22 @@ def test_piped_train_records_match_the_calling_process(monkeypatch):
                             exp._cell_batches("rsb", config, dataset, schedule, seed),
                             schedule, dataset)
     assert repr(piped) == repr(in_process)
-    evaluations, records = piped
-    assert [r.batch_index for r in records] == [-1, *range(len(schedule))]
-    assert len(evaluations) == len(schedule)
-    assert all(r.replay_consumed > 0 and len(r.epoch_losses) == 3 for r in records[1:])
+    assert len(piped) == len(schedule)
 
 
 def test_a_learner_pipe_ends_only_at_a_batch_boundary():
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     cell = exp._cell_batches("rsb", config, dataset, schedule, seed)
-    sent = [(t, n_rows, list(batches)) for (t, n_rows, batches), _ in zip(cell, range(2))]
+    sent = [(t, list(batches)) for (t, batches), _ in zip(cell, range(2))]
     first, second = (pickle.dumps(b, pickle.HIGHEST_PROTOCOL) for b in sent)
 
     def received(data):
         return exp._received_cell(io.BufferedReader(io.BytesIO(data)))
 
     def exact(batch):
-        t, n_rows, batches = batch
-        return t, n_rows, [(epoch, bx.dtype, bx.shape, bx.tobytes(), by.dtype, by.tobytes())
-                           for epoch, bx, by in batches]
+        t, batches = batch
+        return t, [(bx.dtype, bx.shape, bx.tobytes(), by.dtype, by.tobytes())
+                   for bx, by in batches]
 
     assert [exact(b) for b in received(first + second)] == [exact(b) for b in sent]
     for cut in range(1, len(second)):
@@ -520,8 +521,8 @@ RSB_MINIBATCHES = "efdcad0b0994ecd541203e8a4fb7d5eb232cc84ce133bb19f549715df3b13
 def test_minibatches_yield_what_the_learner_trains_on(monkeypatch):
     config, dataset, schedule, seed = share_inputs("tiny-drift")
     yielded = hashlib.sha256()
-    for _, _, batches in exp._cell_batches("rsb", config, dataset, schedule, seed):
-        for _, bx, by in batches:
+    for _, batches in exp._cell_batches("rsb", config, dataset, schedule, seed):
+        for bx, by in batches:
             assert bx.dtype == np.float64 and by.dtype == np.int64
             yielded.update(bx.tobytes())
             yielded.update(by.tobytes())

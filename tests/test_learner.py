@@ -6,7 +6,6 @@ from driftreplay.learner import (
     ClassifierSpec,
     MlpClassifier,
     TrainingDivergedError,
-    TrainRecord,
     fit_offline,
     gradient_check,
     ingest_batch,
@@ -104,7 +103,10 @@ def test_epoch_losses_mostly_non_increasing():
         rng = np.random.default_rng(s)
         batch, _, _ = separable_batch(rng)
         m = MlpClassifier(ClassifierSpec(input_dim=8, **SMALL), rng)
-        epoch_losses, _ = train_epochs(m, minibatches(*ingest_batch(batch), None, rng, m.spec))
+        losses = [m.train_minibatch(bx, by)
+                  for bx, by in minibatches(*ingest_batch(batch), None, rng, m.spec)]
+        # every epoch steps through the same number of minibatches
+        epoch_losses = np.reshape(losses, (m.spec.epochs_per_batch, -1)).mean(axis=1)
         if np.all(np.diff(epoch_losses) <= 1e-9):
             ok += 1
     assert ok >= 18
@@ -121,22 +123,21 @@ def test_empty_replay_source_matches_replay_disabled(monkeypatch):
     mem = RsbMemory(RsbConfig(c_min=2, n_s=10**6), np.random.default_rng(0))
     for model, memory in ((m1, None), (m2, mem)):
         X, y = ingest_batch([inst(i.features.copy(), i.label) for i in batch], memory)
-        trained = train_epochs(model, minibatches(X, y, memory, np.random.default_rng(5), spec))
+        batches = list(minibatches(X, y, memory, np.random.default_rng(5), spec))
+        train_epochs(model, batches)
     assert all(np.array_equal(a, b) for a, b in zip(m1.W + m1.b, m2.W + m2.b))
-    assert TrainRecord.of(0, len(X), *trained).replay_consumed == 0
+    assert sum(len(bx) for bx, _ in batches) == spec.epochs_per_batch * len(X)
     assert sum(1 for _ in mem.all_centroids()) > 0  # memory still absorbed the batch
 
 
-def test_train_record_counts_replay_consumption():
+def test_minibatches_top_up_the_stream_rows_with_replay():
     rng = np.random.default_rng(8)
     batch, _, _ = separable_batch(rng, n=64)
     mem = RsbMemory(RsbConfig(c_min=2, n_s=10**6), np.random.default_rng(0))
-    m = MlpClassifier(ClassifierSpec(input_dim=8, hidden_sizes=(8,), epochs_per_batch=2),
-                      np.random.default_rng(0))
+    spec = ClassifierSpec(input_dim=8, hidden_sizes=(8,), epochs_per_batch=2)
     X, y = ingest_batch(batch, mem)
-    rec = TrainRecord.of(0, len(X), *train_epochs(m, minibatches(X, y, mem, rng, m.spec)))
-    assert rec.instances_consumed == 64
-    assert rec.replay_consumed > 0
+    rows = sum(len(bx) for bx, _ in minibatches(X, y, mem, rng, spec))
+    assert rows > spec.epochs_per_batch * 64
 
 
 def test_ingest_batch_rejects_empty_batch():

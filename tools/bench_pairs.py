@@ -18,7 +18,10 @@ paused shows as wall time far above its CPU time. Each metric's summary says whe
 beyond noise (``beyond_noise``, against ``parent_iqr``). An end-to-end
 metric's summary also says whether it got worse by more than its
 ``bound`` in ``BENCHMARK.json`` (``worse_beyond_bound``), and whether the
-runs spread too widely to tell (``unresolved``).
+runs spread too widely to tell (``unresolved``). Each workload's
+``ratios`` divide each run's ``rsb_s``, ``sb_s`` and ``baseline_s`` by the
+same run's ``offline_s`` and summarise them the same way, without a
+bound: a host whose speed swings between runs moves both alike.
 
 Each side is a checkout directory or, when the argument is not a
 directory, a revision of the git repository in the working directory. A
@@ -48,6 +51,7 @@ SIDES = ("parent", "change")
 PAIRS = 10
 SEED = 2  # the held-out seed
 TIMEOUT_S = 900  # per perfbench run
+RATIOS = ("rsb_s", "sb_s", "baseline_s")  # each over the same run's offline_s
 
 
 def cpu_of_children() -> float:
@@ -140,6 +144,15 @@ def summarise(pairs: list, better: dict, bounds: dict | None = None) -> dict:
     return out
 
 
+def offline_ratios(pairs: list) -> list:
+    """``pairs`` with each run's ``RATIOS`` metrics divided by its own
+    ``offline_s``, named ``<metric>/offline_s``; a run without them has none."""
+    def of(run):
+        return {f"{name}/offline_s": run[name] / run["offline_s"]
+                for name in RATIOS if name in run and run.get("offline_s")}
+    return [{"first": p["first"], **{side: of(p[side]) for side in SIDES}} for p in pairs]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="parent checkout or git revision")
@@ -220,9 +233,12 @@ def main(argv=None) -> int:
         pairs = [{"first": p["first"],
                   **{side: {k: v["value"] for k, v in p[side]["result"]["metrics"].items()}
                      for side in SIDES}} for p in runs[workload]]
+        ratios = offline_ratios(pairs)
         report["workloads"][workload] = {
             "pairs": pairs,
             "summary": summarise(pairs, better, bounds),
+            "ratios": {"pairs": ratios, "summary": summarise(
+                ratios, {f"{name}/offline_s": "lower" for name in RATIOS})},
             "ops": {side: [{k: p[side]["result"][k] for k in ("correct", "attempted", "failed")}
                            for p in runs[workload]] for side in SIDES},
             "seconds": {side: [{k: p[side][k] for k in ("elapsed_s", "cpu_s")}
