@@ -93,7 +93,7 @@ def test_ratios_divide_by_the_same_runs_offline_time():
     # the host runs every other pair 1.5x slower, and the change is 10% faster
     speed = [1.0, 1.5] * 5
     pairs = [{"first": "parent",
-              "parent": {"rsb_s": 0.2 * k, "sb_s": 0.1 * k, "offline_s": 0.4 * k, "wall_s": 1.0},
+              "parent": {"rsb_s": 0.2 * k, "sb_s": 0.1 * k, "offline_s": 0.4 * k},
               "change": {"rsb_s": 0.18 * k, "sb_s": 0.09 * k, "offline_s": 0.4 * k}}
              for k in speed]
     ratios = bench_pairs.offline_ratios(pairs)
