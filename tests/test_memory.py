@@ -1,5 +1,6 @@
 """Unit tests for the reactive centroid memory."""
 import copy
+import hashlib
 import math
 import pickle
 from collections import Counter
@@ -730,6 +731,25 @@ def stream_events(seed):
 
 def test_ingestion_event_sequence_is_deterministic():
     assert stream_events(9) == stream_events(9)
+
+
+def label_flip_digest():
+    """sha256 over every event and final centroid of the label-flip streams, seeds 0-4."""
+    h = hashlib.sha256()
+    for seed in range(5):
+        mem = make_memory(seed=seed, c_max=6, c_min=2, omega_max=30, b_max=20, n_s=60)
+        for instance in label_flip_stream(seed):
+            for e in mem.ingest(instance):
+                h.update(repr((e.kind, e.centroid_id, e.label, e.info)).encode())
+        for c in mem.all_centroids():
+            h.update(c.mean.tobytes())
+            h.update(repr((c.id, c.label, c.count)).encode())
+    return h.hexdigest()
+
+
+def test_label_flip_events_and_centroids_are_pinned():
+    assert label_flip_digest() == (
+        "5a28f75903da44cdf5413ca72b169e3281eb156a89813390ce9748e03bc41d6f")
 
 
 def test_per_centroid_maintenance_mode_runs():
