@@ -62,4 +62,4 @@ class StaticCentroidMemory(_CentroidMemory):
     purity_gated = False
 
     def ingest(self, instance: LabeledInstance) -> MemoryEvent:
-        return self._place(instance, self._validate(instance))[1]
+        return self._place(instance, self._validate(instance))

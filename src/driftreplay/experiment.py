@@ -69,8 +69,7 @@ class ExperimentConfig:
     sigma_k: float = 2.0
     switch_fraction: float = 0.5
     per_centroid_maintenance: bool = field(default=False, metadata={
-        "help": "tick one centroid each time its window reaches n_s updates; "
-                "same switch/split/removal rules"})
+        "help": "retired: must be false; kept only because the config fingerprint hashes it"})
     # class-buffer baseline parameters
     cb_b_max: int = 500
     cb_replay_per_label: int = 10
@@ -104,7 +103,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown methods: {unknown}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
+        if self.per_centroid_maintenance:
+            raise ValueError("per_centroid_maintenance is retired; it must be false")
         self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        if not self.hidden_sizes:
+            raise ValueError("hidden_sizes must name at least one layer")
         # each spec validates its own block of parameters
         self.spec(RsbConfig)
         _make_memory("cb0", self, None)

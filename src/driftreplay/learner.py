@@ -14,6 +14,10 @@ from .memory import require_positive
 from .replay import oversample_balance, sample_replay
 
 
+# Adam's fixed moment decay rates and denominator offset
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class TrainingDivergedError(RuntimeError):
     pass
 
@@ -23,9 +27,6 @@ class ClassifierSpec:
     input_dim: int
     hidden_sizes: tuple = (128, 64, 32)
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs_per_batch: int = 10
     minibatch_size: int = 32
 
@@ -144,21 +145,20 @@ class MlpClassifier:
         same order, so the result is bit-for-bit the same.
         """
         self._t += 1
-        s = self.spec
         g, m, v = self._grad, self._m, self._v
         a, b = self._scratch
-        np.multiply(m, s.beta1, out=m)  # m = beta1*m + (1-beta1)*g
-        np.multiply(g, 1 - s.beta1, out=a)
+        np.multiply(m, BETA1, out=m)  # m = beta1*m + (1-beta1)*g
+        np.multiply(g, 1 - BETA1, out=a)
         np.add(m, a, out=m)
-        np.multiply(v, s.beta2, out=v)  # v = beta2*v + ((1-beta2)*g)*g
-        np.multiply(g, 1 - s.beta2, out=a)
+        np.multiply(v, BETA2, out=v)  # v = beta2*v + ((1-beta2)*g)*g
+        np.multiply(g, 1 - BETA2, out=a)
         np.multiply(a, g, out=a)
         np.add(v, a, out=v)
-        np.divide(m, 1 - s.beta1 ** self._t, out=a)  # lr*m_hat / (sqrt(v_hat) + eps)
-        np.multiply(a, s.learning_rate, out=a)
-        np.divide(v, 1 - s.beta2 ** self._t, out=b)
+        np.divide(m, 1 - BETA1 ** self._t, out=a)  # lr*m_hat / (sqrt(v_hat) + eps)
+        np.multiply(a, self.spec.learning_rate, out=a)
+        np.divide(v, 1 - BETA2 ** self._t, out=b)
         np.sqrt(b, out=b)
-        np.add(b, s.eps, out=b)
+        np.add(b, EPS, out=b)
         np.divide(a, b, out=a)
         np.subtract(self._theta, a, out=self._theta)
 

@@ -83,7 +83,6 @@ class RsbConfig:
     beta: float = 4.0
     sigma_k: float = 2.0
     switch_fraction: float = 0.5
-    per_centroid_maintenance: bool = False
 
     def __post_init__(self):
         if self.c_min is None:
@@ -117,7 +116,6 @@ class SlidingWindow:
         self.capacity = capacity
         self.entries = deque(maxlen=capacity)
         self.counts: dict[int, int] = {}
-        self.cumulative_updates = 0
 
     def push(self, instance: LabeledInstance):
         if len(self.entries) == self.capacity:
@@ -127,7 +125,6 @@ class SlidingWindow:
                 del self.counts[old]
         self.entries.append(instance)
         self.counts[instance.label] = self.counts.get(instance.label, 0) + 1
-        self.cumulative_updates += 1
 
     def ranked(self) -> list[tuple[int, int]]:
         """(label, count) pairs, most numerous first; ties go to the lower label."""
@@ -294,22 +291,20 @@ class _CentroidMemory:
         c.registered_since_maintenance += 1
         c.window_updates_since_tick += 1
 
-    def _place(self, instance: LabeledInstance, x: np.ndarray):
-        """Place an instance among its own label's centroids; return the centroid
-        and its event. Below c_min centroids the label gets a new one
-        (bootstrap). Otherwise the instance joins the nearest if x is within
-        its bounds or the label is at c_max, and starts a new one if not."""
+    def _place(self, instance: LabeledInstance, x: np.ndarray) -> MemoryEvent:
+        """Place an instance among its own label's centroids; return its event.
+        Below c_min centroids the label gets a new one (bootstrap). Otherwise
+        the instance joins the nearest if x is within its bounds or the label
+        is at c_max, and starts a new one if not."""
         y = instance.label
         own = self.centroids.get(y, [])
         if len(own) < self.config.c_min:
-            c = self._create(instance)
-            return c, MemoryEvent("created", c.id, y, "bootstrap")
+            return MemoryEvent("created", self._create(instance).id, y, "bootstrap")
         c = find_nearest(own, x)
         if within_bounds(c, x, self.config.sigma_k) or len(own) >= self.config.c_max:
             self._assign(c, instance)
-            return c, MemoryEvent("updated", c.id, y)
-        c = self._create(instance)
-        return c, MemoryEvent("created", c.id, y)
+            return MemoryEvent("updated", c.id, y)
+        return MemoryEvent("created", self._create(instance).id, y)
 
 
 class RsbMemory(_CentroidMemory):
@@ -330,20 +325,14 @@ class RsbMemory(_CentroidMemory):
               if len(self.centroids.get(instance.label, [])) >= self.config.c_min else None)
         if cx is not None and cx.label == instance.label:
             self._assign(cx, instance)
-            touched = cx
             events.append(MemoryEvent("updated", cx.id, cx.label))
         elif cx is not None and within_bounds(cx, x, self.config.sigma_k):
             cx.window.push(instance)
             cx.window_updates_since_tick += 1
-            touched = cx
             self._switch(cx, events)
         else:
-            touched, event = self._place(instance, x)
-            events.append(event)
-        if self.config.per_centroid_maintenance:
-            if touched.window.cumulative_updates % self.config.n_s == 0:
-                events.extend(self.maintenance([touched]))
-        elif self.stream_counter % self.config.n_s == 0:
+            events.append(self._place(instance, x))
+        if self.stream_counter % self.config.n_s == 0:
             events.extend(self.maintenance())
         return events
 
@@ -359,24 +348,19 @@ class RsbMemory(_CentroidMemory):
         events.append(MemoryEvent("switched", c.id, new_label, f"from {old}"))
         return True
 
-    def maintenance(self, scope=None) -> list[MemoryEvent]:
-        """One tick over `scope` (default: every centroid).
+    def maintenance(self) -> list[MemoryEvent]:
+        """One tick over every centroid.
 
-        Each scoped centroid switches, or else splits if its window is
-        impure. Then stale centroids are removed, considering only the
-        scope and centroids born in this tick; every other centroid counts
-        as a survivor for the rule that keeps one centroid per label.
-        Finally the period counters of the considered survivors reset.
+        Each centroid switches, or else splits if its window is impure.
+        Then stale centroids are removed, keeping at least one per label,
+        and the period counters of every survivor reset.
         """
         events: list[MemoryEvent] = []
         cfg = self.config
-        scope = list(self.all_centroids()) if scope is None else list(scope)
-        ticked = {c.id: c for c in scope}
-        for c in scope:
+        for c in list(self.all_centroids()):
             if self._switch(c, events) or not check_split(c, cfg):
                 continue
             kept, born = apply_split(self, c)
-            ticked[born.id] = born
             events.append(MemoryEvent("split", kept.id, kept.label, f"spawned {born.id}"))
             events.append(MemoryEvent("created", born.id, born.label, "split"))
         for label in sorted(self.centroids):
@@ -384,19 +368,17 @@ class RsbMemory(_CentroidMemory):
             pending = sorted(self.centroids[label], key=lambda c: c.id)
             for i, c in enumerate(pending):
                 removable = (
-                    c.id in ticked
-                    and not c.in_grace_period
+                    not c.in_grace_period
                     and c.registered_since_maintenance < cfg.tau_r
                     and c.window_updates_since_tick >= cfg.tau_r
                 )
                 remaining = len(pending) - i - 1
                 if removable and len(survivors) + remaining >= 1:
-                    del ticked[c.id]
                     events.append(MemoryEvent("removed", c.id, c.label))
                 else:
                     survivors.append(c)
             self.centroids[label] = survivors
-        for c in ticked.values():
+        for c in self.all_centroids():
             c.registered_since_maintenance = 0
             c.window_updates_since_tick = 0
             c.in_grace_period = False

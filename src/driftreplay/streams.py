@@ -182,6 +182,8 @@ class GaussianStreamSpec:
         if self.n_subconcepts < 2:
             raise ValueError("n_subconcepts must be at least 2")
         require_positive(self, "dim", "std", "separation", "train_per", "test_per")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def generate_gaussian(spec: GaussianStreamSpec) -> SubconceptDataset:

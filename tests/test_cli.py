@@ -112,6 +112,16 @@ def test_gen_data_rejects_unknown_key(tmp_path):
     assert exc.value.code == 2
 
 
+def test_gen_data_rejects_a_negative_seed(tmp_path, capsys):
+    spec = tmp_path / "data.cfg"
+    spec.write_text("# data\nseed=-1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "x")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {spec}: line 2: seed: must be non-negative\n"
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------- run (e2e)
 
 def run_small(out_dir):
@@ -177,22 +187,31 @@ def test_run_and_validate_keep_their_option_strings():
     assert option_strings("validate") == expected
 
 
-def test_readme_knob_table_lists_every_run_flag():
+def readme_knob_table():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme[readme.index("| group | knobs |"):]
-    table = table[:table.index("\n\n")]
-    listed = set(re.findall(r"`(--[a-z][a-z-]*)`", table))
+    return table[:table.index("\n\n")]
+
+
+def test_readme_knob_table_lists_every_run_flag():
+    listed = set(re.findall(r"`(--[a-z][a-z-]*)`", readme_knob_table()))
     assert listed == option_strings("run") - {"-h", "--help", "--config"}
+
+
+def test_readme_knob_table_marks_exactly_the_retired_knobs():
+    retired = {"--" + f.name.replace("_", "-") for f in fields(ExperimentConfig)
+               if f.metadata.get("help", "").startswith("retired")}
+    assert retired == set(re.findall(r"`(--[a-z][a-z-]*)` \(retired", readme_knob_table()))
 
 
 def test_config_file_values_are_typed(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seeds=3, 4\nhidden_sizes=8,4\nper_centroid_maintenance=true\n"
+    cfg.write_text("seeds=3, 4\nhidden_sizes=8,4\nper_centroid_maintenance=false\n"
                    "c_min=2\nlearning_rate=0.01\nschedule_file=s.txt\n")
     config = parse_run(["--config", str(cfg)])
     assert config.seeds == (3, 4)
     assert config.hidden_sizes == (8, 4)
-    assert config.per_centroid_maintenance is True
+    assert config.per_centroid_maintenance is False
     assert config.c_min == 2 and config.learning_rate == 0.01
     assert config.schedule_file == "s.txt"
 
@@ -547,6 +566,27 @@ def test_repeated_methods_are_refused(command, tmp_path, capsys):
         main([command, *FAST, "--methods", "rsb,rsb,offline", "--out", str(tmp_path / "x")])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: methods must be distinct, got rsb,rsb,offline\n"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("knob, flags, value, message", [
+    ("hidden_sizes", ["--hidden-sizes", ","], ",", "must name at least one layer"),
+    ("per_centroid_maintenance", ["--per-centroid-maintenance"], "true",
+     "is retired; it must be false"),
+])
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_an_empty_layer_list_and_the_retired_cadence_are_refused(command, knob, flags, value,
+                                                                 message, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "x")]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *flags, *out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {knob} {message}\n"
+    cfg = write(tmp_path / "b.cfg", f"# run\n{knob}={value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, *out])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {cfg}: line 2: {knob}: {message}\n"
     assert not (tmp_path / "x").exists()
 
 

@@ -201,14 +201,14 @@ def _reference_loss_and_grads(W, b, X, y):
     return loss, gW + gb
 
 
-def _reference_adam_step(params, grads, m, v, t, s):
+def _reference_adam_step(params, grads, m, v, t, s, beta1=0.9, beta2=0.999, eps=1e-8):
     """Per-array Adam with its temporaries, as written before the flat layout."""
     for k, (p, g) in enumerate(zip(params, grads)):
-        m[k] = s.beta1 * m[k] + (1 - s.beta1) * g
-        v[k] = s.beta2 * v[k] + (1 - s.beta2) * g * g
-        m_hat = m[k] / (1 - s.beta1 ** t)
-        v_hat = v[k] / (1 - s.beta2 ** t)
-        p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + s.eps)
+        m[k] = beta1 * m[k] + (1 - beta1) * g
+        v[k] = beta2 * v[k] + (1 - beta2) * g * g
+        m_hat = m[k] / (1 - beta1 ** t)
+        v_hat = v[k] / (1 - beta2 ** t)
+        p -= s.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
 
 @pytest.mark.parametrize("input_dim,hidden", [(5, (7, 3)), (16, (128, 64, 32)), (3, (9,))])

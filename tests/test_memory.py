@@ -308,7 +308,7 @@ def memory_with_window(x, entries, omega_max=100):
 
 def test_apply_switch_rebuilds_from_window():
     mem, c = memory_with_window([9.0], (([0.0], 0), ([2.0], 0), ([9.0], 1)), omega_max=3)
-    assert [e.kind for e in mem.maintenance([c])] == ["switched"]
+    assert [e.kind for e in mem.maintenance()] == ["switched"]
     assert c.label == 0
     assert np.allclose(c.mean, [1.0])
     assert c.count == 2
@@ -321,13 +321,13 @@ def test_apply_switch_purges_old_label_buffer():
     for _ in range(99):
         c.buffer.add(inst([0.0], 1), np.random.default_rng(0))
     assert len(c.buffer.items) == 100
-    assert [e.kind for e in mem.maintenance([c])] == ["switched"]
+    assert [e.kind for e in mem.maintenance()] == ["switched"]
     assert all(i.label == 0 for i in c.buffer.items)
 
 
 def test_apply_switch_single_entry_window():
     mem, c = memory_with_window([0.0], [([5.0], 0)], omega_max=1)
-    assert [e.kind for e in mem.maintenance([c])] == ["switched"]
+    assert [e.kind for e in mem.maintenance()] == ["switched"]
     assert np.allclose(c.mean, [5.0])
     assert c.count == 1
 
@@ -359,8 +359,7 @@ def test_check_split_arithmetic():
     assert not check_split(windowed_centroid(0, {0: 70}), cfg)          # pure window
 
 
-@pytest.mark.parametrize("scoped", [False, True])
-def test_a_tick_never_splits_the_centroid_it_switched(scoped):
+def test_a_tick_never_splits_the_centroid_it_switched():
     mem = make_memory(c_min=1)
     mem.ingest(inst([0.0], 1))
     (c,) = mem.centroids[1]
@@ -369,7 +368,7 @@ def test_a_tick_never_splits_the_centroid_it_switched(scoped):
         for _ in range(n):
             c.window.push(inst([0.0], label))
     assert check_switch(c, mem.config) == 0 and check_split(c, mem.config)
-    events = mem.maintenance([c] if scoped else None)
+    events = mem.maintenance()
     assert [e.kind for e in events] == ["switched"]
     assert list(mem.all_centroids()) == [c] and c.label == 0
 
@@ -418,6 +417,7 @@ def test_removal_low_traffic_centroid_is_reaped():
     events = mem.maintenance()
     assert [e.kind for e in events] == ["removed"]
     assert mem.centroids[1] == [b]
+    assert b.registered_since_maintenance == b.window_updates_since_tick == 0  # survivor reset
 
 
 def test_removal_boundary_is_strict():
@@ -471,23 +471,6 @@ def test_last_centroid_of_a_class_is_never_removed():
     c.window_updates_since_tick = 45
     assert mem.maintenance() == []
     assert mem.centroids[0] == [c]
-
-
-def test_scoped_tick_removes_and_resets_only_its_scope():
-    mem = make_memory(c_min=2)
-    for x, y in (([0.0], 1), ([100.0], 1)):
-        mem.ingest(inst(x, y))
-    a, b = mem.centroids[1]
-    for c in (a, b):
-        c.in_grace_period = False
-        c.registered_since_maintenance = 10
-        c.window_updates_since_tick = 45
-    events = mem.maintenance([b])
-    assert [(e.kind, e.centroid_id) for e in events] == [("removed", b.id)]
-    assert mem.centroids[1] == [a]
-    assert a.registered_since_maintenance == 10  # outside the scope: not reset
-    assert mem.maintenance([a]) == []  # the last label-1 centroid stays
-    assert a.registered_since_maintenance == 0
 
 
 def test_removal_end_to_end_through_ingestion():
@@ -586,24 +569,24 @@ def label_flip_stream(seed):
         yield LabeledInstance(rng.normal(means[k], 1.0), labels[k], k)
 
 
-@pytest.mark.parametrize("per_centroid", [False, True])
+@pytest.mark.parametrize("static", [False, True])
 @pytest.mark.parametrize("seed", range(5))
-def test_invariants_hold_on_label_flip_streams(seed, per_centroid):
+def test_invariants_hold_on_label_flip_streams(seed, static):
+    """The reactive memory (static=False) or the static one (static=True)."""
     knobs = dict(c_max=6, c_min=2, omega_max=30, b_max=20, n_s=60)
-    if not per_centroid:  # sb runs no maintenance, so one cadence covers it
+    if static:
         assert_static_memory_invariants(
             StaticCentroidMemory(RsbConfig(**knobs), np.random.default_rng(seed)),
             label_flip_stream(seed))
-    mem = make_memory(seed=seed, per_centroid_maintenance=per_centroid, **knobs)
+        return
+    mem = make_memory(seed=seed, **knobs)
     kinds = set()
     for instance in label_flip_stream(seed):
         before = group_sizes(mem)
         events = mem.ingest(instance)
         assert_memory_invariants(mem, events, before)
         kinds.update(e.kind for e in events)
-    # the per-centroid cadence never reaches the removal rule on these streams
-    expected = {"switched", "split"} if per_centroid else {"switched", "split", "removed"}
-    assert expected <= kinds
+    assert {"switched", "split", "removed"} <= kinds
 
 
 # -------------------------------------------------------- window and buffer
@@ -614,7 +597,6 @@ def test_window_is_fifo_with_capacity():
         w.push(inst([float(i)], i % 2))
     assert len(w.entries) == 3
     assert [float(e.features[0]) for e in w.entries] == [2.0, 3.0, 4.0]
-    assert w.cumulative_updates == 5
 
 
 def test_window_top_two_and_majority():
@@ -751,11 +733,3 @@ def test_label_flip_events_and_centroids_are_pinned():
     assert label_flip_digest() == (
         "5a28f75903da44cdf5413ca72b169e3281eb156a89813390ce9748e03bc41d6f")
 
-
-def test_per_centroid_maintenance_mode_runs():
-    mem = make_memory(c_min=1, n_s=20, per_centroid_maintenance=True)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        y = int(rng.integers(2))
-        mem.ingest(inst(rng.normal(10.0 * y, 1.0, size=2), y))
-    assert sum(1 for _ in mem.all_centroids()) >= 2

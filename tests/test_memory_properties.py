@@ -2,8 +2,9 @@
 
 Hypothesis draws the memory's knobs and a label-flip stream; the
 invariants of `test_memory.assert_memory_invariants` must hold after
-every ingest of the reactive memory, in both maintenance modes, and of the
-static one, which also keeps its own (`assert_static_memory_invariants`).
+every ingest of the reactive memory (``static=False``) and of the static
+one (``static=True``), which also keeps its own
+(`assert_static_memory_invariants`).
 """
 import numpy as np
 import pytest
@@ -48,18 +49,18 @@ def flip_stream(seed, flips):
         yield LabeledInstance(rng.normal(means[k], 1.0), labels[k], k)
 
 
-@pytest.mark.parametrize("per_centroid", [False, True])
+@pytest.mark.parametrize("static", [False, True])
 @settings(max_examples=25, deadline=None)
 @given(knobs=memory_configs(), seed=st.integers(0, 2**32 - 1),
        flips=st.dictionaries(st.integers(1, STEPS - 1), st.integers(0, N_SUB - 1), max_size=12))
-def test_invariants_hold_on_random_flip_streams(per_centroid, knobs, seed, flips):
-    mem = RsbMemory(RsbConfig(per_centroid_maintenance=per_centroid, **knobs),
-                    np.random.default_rng(seed))
+def test_invariants_hold_on_random_flip_streams(static, knobs, seed, flips):
+    if static:
+        assert_static_memory_invariants(
+            StaticCentroidMemory(RsbConfig(**knobs), np.random.default_rng(seed)),
+            flip_stream(seed, flips))
+        return
+    mem = RsbMemory(RsbConfig(**knobs), np.random.default_rng(seed))
     for instance in flip_stream(seed, flips):
         before = group_sizes(mem)
         events = mem.ingest(instance)
         assert_memory_invariants(mem, events, before)
-    # sb ignores the cadence; each parameter's run draws its own knobs for it
-    assert_static_memory_invariants(
-        StaticCentroidMemory(RsbConfig(**knobs), np.random.default_rng(seed)),
-        flip_stream(seed, flips))
